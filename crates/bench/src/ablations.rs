@@ -93,7 +93,7 @@ pub fn buffer_size(scale: Scale) -> Table {
         s.run(&cfg);
         let lost = tracer.lost_records("s1_ovs_br1");
         tracer.collect(&s.world);
-        let kept = tracer.db().table("s1_ovs_br1").map_or(0, |tb| tb.len()) as u64;
+        let kept = tracer.db().count("s1_ovs_br1") as u64;
         t.row(&[
             size.to_string(),
             kept.to_string(),

@@ -527,12 +527,9 @@ fn load_package(args: &Args, default: ControlPackage) -> Result<ControlPackage, 
 /// Prints the per-table record counts and the flow summary after a run.
 fn print_db_summary(tracer: &vnettracer::VNetTracer) {
     let mut t = Table::new("trace database", &["table", "records", "throughput (Mbps)"]);
-    let mut names: Vec<&str> = tracer.db().measurements().collect();
-    names.sort_unstable();
-    for name in names {
-        let len = tracer.db().table(name).map_or(0, |tb| tb.len());
-        let tput = metrics::throughput_at(tracer.db(), name) / 1e6;
-        t.row(&[name.into(), len.to_string(), format!("{tput:.1}")]);
+    for row in vnet_bench::report::db_summary(tracer.db()) {
+        let tput = row.throughput_bps / 1e6;
+        t.row(&[row.table, row.records.to_string(), format!("{tput:.1}")]);
     }
     println!("{t}");
 }
@@ -697,11 +694,7 @@ fn run_live(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot flush database: {e}"))?;
         println!(
             "persisted {} records to {}",
-            tracer
-                .db()
-                .measurements()
-                .map(|m| tracer.db().table(m).map_or(0, |t| t.len()))
-                .sum::<usize>(),
+            tracer.db().len(),
             args.save_db.as_deref().unwrap_or_default()
         );
     }
@@ -994,7 +987,7 @@ fn run_drop_lab(args: &Args, default_profile: &str) -> Result<(), String> {
     print_db_summary(&tracer);
     print_run_stats(&tracer);
 
-    if tracer.db().table(DROP_TABLE).is_some() {
+    if tracer.db().measurements().any(|m| m == DROP_TABLE) {
         let truth = lab.ground_truth();
         let breakdown = metrics::drop_breakdown(tracer.db(), DROP_TABLE);
         let traced = |reason: &str| {

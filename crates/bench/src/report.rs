@@ -2,6 +2,9 @@
 
 use std::fmt::Write as _;
 
+use vnet_tsdb::TraceDb;
+use vnettracer::metrics::throughput_at;
+
 /// A printable results table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -77,9 +80,77 @@ pub fn mbps(bps: f64) -> String {
     format!("{:.0}", bps / 1e6)
 }
 
+/// One row of the trace-database summary `vnt` prints after a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DbSummaryRow {
+    /// Table (measurement) name.
+    pub table: String,
+    /// Records in the table, sealed and hot.
+    pub records: usize,
+    /// Throughput at the table's tracepoint, bits/second.
+    pub throughput_bps: f64,
+}
+
+/// Per-table record counts ([`TraceDb::count`]) and throughput
+/// ([`throughput_at`]), sorted by table name. Both read sealed segments
+/// as well as the hot tail, so a `--save-db` run that sealed reports
+/// every record it ingested.
+///
+/// # Panics
+///
+/// Panics if a sealed segment cannot be read.
+pub fn db_summary(db: &TraceDb) -> Vec<DbSummaryRow> {
+    let mut names: Vec<&str> = db.measurements().collect();
+    names.sort_unstable();
+    names
+        .into_iter()
+        .map(|name| DbSummaryRow {
+            table: name.to_owned(),
+            records: db.count(name),
+            throughput_bps: throughput_at(db, name),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::{CompactRecord, RecordBatch, StoreOptions};
+
+    #[test]
+    fn db_summary_counts_sealed_records() {
+        let dir = std::env::temp_dir().join(format!("vnt_summary_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = StoreOptions {
+            seal_threshold: 64,
+            fsync: false,
+            background_compaction: false,
+            ..StoreOptions::default()
+        };
+        let mut disk = TraceDb::open_with(&dir, options).unwrap();
+        let mut mem = TraceDb::new();
+        let mut ingested = 0;
+        for b in 0..10u64 {
+            let mut batch = RecordBatch::new();
+            for i in 0..30u64 {
+                let record = CompactRecord {
+                    timestamp_ns: (b * 30 + i) * 1_000,
+                    pkt_len: 1_000,
+                    ..Default::default()
+                };
+                batch.push(["rx", "tx"][(i % 2) as usize], "vm1", record);
+            }
+            ingested += disk.insert_batch(&batch);
+            mem.insert_batch(&batch);
+        }
+        assert!(disk.storage_stats().unwrap().sealed_records > 0);
+        let rows = db_summary(&disk);
+        let total: usize = rows.iter().map(|r| r.records).sum();
+        assert_eq!(total as u64, ingested);
+        assert_eq!(rows, db_summary(&mem));
+        assert!(rows.iter().all(|r| r.throughput_bps > 0.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -4,50 +4,76 @@
 //! incomplete records, timestamp alignment for the clock skew, etc., one
 //! then can query the database to perform customized analysis."
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use vnet_tsdb::{DataPoint, TraceDb};
+use vnet_tsdb::{ColumnId, DataPoint, Query, ScanResult, TraceDb, TraceKey};
 
 use crate::clock_sync::SkewEstimate;
 
+/// Splits the trace IDs seen at the first of `tracepoints` into those
+/// seen at every later one too (complete) and the rest (incomplete).
+fn partition_ids(db: &TraceDb, tracepoints: &[&str]) -> (BTreeSet<String>, BTreeSet<String>) {
+    let scans: Vec<ScanResult> = tracepoints
+        .iter()
+        .map(|t| {
+            let query = Query::new(*t).select([ColumnId::TraceId, ColumnId::Flags]);
+            crate::metrics::scan(db, query)
+        })
+        .collect();
+    let Some((first, rest)) = scans.split_first() else {
+        return Default::default();
+    };
+    let later: Vec<HashSet<TraceKey<'_>>> = rest
+        .iter()
+        .map(|s| s.iter().filter_map(|e| e.trace_key()).collect())
+        .collect();
+    let mut complete = BTreeSet::new();
+    let mut incomplete = BTreeSet::new();
+    for id in first.iter().filter_map(|e| e.trace_key()) {
+        let side = if later.iter().all(|l| l.contains(&id)) {
+            &mut complete
+        } else {
+            &mut incomplete
+        };
+        side.insert(id.to_string());
+    }
+    (complete, incomplete)
+}
+
 /// Trace IDs observed at **every** tracepoint in `tracepoints` — the
 /// "complete" records safe for end-to-end analysis.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of a tracepoint's table cannot be read.
 pub fn complete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
-    let mut iter = tracepoints.iter();
-    let Some(first) = iter.next().and_then(|t| db.table(t)) else {
-        return BTreeSet::new();
-    };
-    let mut ids: BTreeSet<String> = first.trace_ids().into_iter().collect();
-    for tp in iter {
-        let Some(table) = db.table(tp) else {
-            return BTreeSet::new();
-        };
-        let present: BTreeSet<String> = table.trace_ids().into_iter().collect();
-        ids = ids.intersection(&present).cloned().collect();
-    }
-    ids
+    partition_ids(db, tracepoints).0
 }
 
 /// Trace IDs observed at the first tracepoint but missing from at least
 /// one later tracepoint — incomplete records (lost packets, truncated
 /// traces).
+///
+/// # Panics
+///
+/// Panics if a sealed segment of a tracepoint's table cannot be read.
 pub fn incomplete_ids(db: &TraceDb, tracepoints: &[&str]) -> BTreeSet<String> {
-    let Some(first) = tracepoints.first().and_then(|t| db.table(t)) else {
-        return BTreeSet::new();
-    };
-    let all: BTreeSet<String> = first.trace_ids().into_iter().collect();
-    let complete = complete_ids(db, tracepoints);
-    all.difference(&complete).cloned().collect()
+    partition_ids(db, tracepoints).1
 }
 
 /// Rebuilds the database with every point's timestamp aligned onto the
 /// master clock, using each node's skew estimate (points from nodes
 /// without an estimate pass through unchanged — e.g. the master itself).
+/// The result is an in-memory database of points.
+///
+/// # Panics
+///
+/// Panics if a sealed segment cannot be read.
 pub fn align_timestamps(db: &TraceDb, skew_by_node: &HashMap<String, SkewEstimate>) -> TraceDb {
     let mut out = TraceDb::new();
     for measurement in db.measurements() {
-        let table = db.table(measurement).expect("listed measurement exists");
-        for e in table.entries() {
+        let scan = crate::metrics::scan(db, Query::new(measurement));
+        for e in scan.iter() {
             let mut p: DataPoint = e.to_point();
             if let Some(skew) = p.tag_value("node").and_then(|n| skew_by_node.get(n)) {
                 p.timestamp_ns = skew.align_remote_ns(p.timestamp_ns);
@@ -127,14 +153,12 @@ mod tests {
             },
         );
         let aligned = align_timestamps(&db, &skews);
-        assert_eq!(
-            aligned.table("tp0").unwrap().entries()[0].timestamp_ns(),
-            1_000
-        );
-        assert_eq!(
-            aligned.table("tp1").unwrap().entries()[0].timestamp_ns(),
-            1_300
-        );
+        let stamps = |m: &str| -> Vec<u64> {
+            let scan = Query::new(m).scan(&aligned).unwrap();
+            scan.iter().map(|e| e.timestamp_ns()).collect()
+        };
+        assert_eq!(stamps("tp0"), vec![1_000]);
+        assert_eq!(stamps("tp1"), vec![1_300]);
         // Join now reflects true latency.
         assert_eq!(aligned.join_timestamps("tp0", "tp1"), vec![(1_000, 1_300)]);
     }

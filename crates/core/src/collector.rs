@@ -280,6 +280,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_tsdb::{Entry, Query};
 
     fn record(ts: u64) -> TraceRecord {
         TraceRecord {
@@ -300,11 +301,10 @@ mod tests {
             SimTime::from_micros(1),
         );
         assert_eq!(c.records_ingested(), 2);
-        assert_eq!(c.db().table("tp_a").unwrap().len(), 1);
-        assert_eq!(c.db().table("tp_b").unwrap().len(), 1);
-        let table = c.db().table("tp_a").unwrap();
-        let entries = table.entries();
-        assert_eq!(entries[0].tag("node").as_deref(), Some("server1"));
+        assert_eq!(c.db().count("tp_a"), 1);
+        assert_eq!(c.db().count("tp_b"), 1);
+        let scan = Query::new("tp_a").scan(c.db()).unwrap();
+        assert_eq!(scan.entries()[0].tag("node").as_deref(), Some("server1"));
     }
 
     #[test]
@@ -317,8 +317,12 @@ mod tests {
         let n = c.ingest_batch("server1", 1, &batch, 2, SimTime::from_micros(5));
         assert_eq!(n, 3);
         assert_eq!(c.records_ingested(), 3);
-        assert_eq!(c.db().table("tp_a").unwrap().len(), 2);
-        assert_eq!(c.db().table("tp_a").unwrap().shards().len(), 1);
+        assert_eq!(c.db().count("tp_a"), 2);
+        let scan = Query::new("tp_a").scan(c.db()).unwrap();
+        assert!(
+            scan.iter().all(|e| matches!(e, Entry::Record { .. })),
+            "records stay compact"
+        );
         assert_eq!(c.last_heartbeat("server1"), Some(1));
 
         let stats = c.stats(SimTime::from_micros(9));
@@ -353,8 +357,15 @@ mod tests {
         assert_eq!(nodes, vec!["n1", "n2"], "sorted by node");
         assert_eq!(stats.agents[0].last_seq, 4);
         assert_eq!(stats.agents[0].lag, SimDuration::ZERO);
-        // The two shards of table "tp" keep node streams separate.
-        assert_eq!(c.db().table("tp").unwrap().shards().len(), 2);
+        // Table "tp" keeps the two node streams separate.
+        let from = |node: &str| {
+            Query::new("tp")
+                .tag_eq("node", node)
+                .scan(c.db())
+                .unwrap()
+                .len()
+        };
+        assert_eq!((from("n1"), from("n2")), (2, 1));
     }
 
     #[test]

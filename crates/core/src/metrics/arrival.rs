@@ -6,15 +6,22 @@
 //! expose rate changes over time (e.g. the congestion episodes of Case
 //! Study I).
 
-use vnet_tsdb::TraceDb;
+use vnet_tsdb::{ColumnId, Query, TraceDb};
+
+/// Every record's timestamp at a tracepoint, in insertion order.
+fn stamps(db: &TraceDb, measurement: &str) -> Vec<u64> {
+    let scan = super::scan(db, Query::new(measurement).select([ColumnId::Ts]));
+    scan.iter().map(|e| e.timestamp_ns()).collect()
+}
 
 /// Inter-arrival gaps (ns) between consecutive records at a tracepoint,
 /// in time order.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of the table cannot be read.
 pub fn interarrival_ns(db: &TraceDb, measurement: &str) -> Vec<u64> {
-    let Some(table) = db.table(measurement) else {
-        return Vec::new();
-    };
-    let mut stamps: Vec<u64> = table.entries().iter().map(|e| e.timestamp_ns()).collect();
+    let mut stamps = stamps(db, measurement);
     stamps.sort_unstable();
     stamps.windows(2).map(|w| w[1] - w[0]).collect()
 }
@@ -24,19 +31,15 @@ pub fn interarrival_ns(db: &TraceDb, measurement: &str) -> Vec<u64> {
 ///
 /// # Panics
 ///
-/// Panics if `bucket_ns` is zero.
+/// Panics if `bucket_ns` is zero, or if a sealed segment of the table
+/// cannot be read.
 pub fn arrival_rate(db: &TraceDb, measurement: &str, bucket_ns: u64) -> Vec<(u64, u64)> {
     assert!(bucket_ns > 0, "bucket width must be positive");
-    let Some(table) = db.table(measurement) else {
+    let stamps = stamps(db, measurement);
+    let (Some(&first), Some(&last)) = (stamps.iter().min(), stamps.iter().max()) else {
         return Vec::new();
     };
-    if table.is_empty() {
-        return Vec::new();
-    }
-    let mut stamps: Vec<u64> = table.entries().iter().map(|e| e.timestamp_ns()).collect();
-    stamps.sort_unstable();
-    let first = stamps[0] / bucket_ns * bucket_ns;
-    let last = *stamps.last().expect("non-empty");
+    let first = first / bucket_ns * bucket_ns;
     let buckets = (last - first) / bucket_ns + 1;
     let mut out: Vec<(u64, u64)> = (0..buckets).map(|i| (first + i * bucket_ns, 0)).collect();
     for t in stamps {

@@ -6,8 +6,10 @@
 //! per-packet time spent in each segment is the timestamp difference
 //! between consecutive tracepoints, joined by trace ID.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
-use vnet_tsdb::TraceDb;
+use vnet_tsdb::{Query, ScanResult, TraceDb, TraceKey, TRACE_COLUMNS};
 
 use super::latency::{stats_from_ns, LatencyStats};
 
@@ -24,6 +26,10 @@ pub struct SegmentStats {
 
 /// Decomposes latency across consecutive pairs of `tracepoints`.
 /// Segments with no joinable packets are omitted.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of a tracepoint's table cannot be read.
 pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
     tracepoints
         .windows(2)
@@ -42,32 +48,29 @@ pub fn decompose(db: &TraceDb, tracepoints: &[&str]) -> Vec<SegmentStats> {
 /// returns, for each trace ID seen at the *first* tracepoint and ordered
 /// by its timestamp there, the latency of every segment (or `None` where
 /// the packet was not observed downstream).
+///
+/// # Panics
+///
+/// Panics if a sealed segment of a tracepoint's table cannot be read.
 pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, Vec<Option<u64>>)> {
-    let Some(first) = tracepoints.first().and_then(|t| db.table(t)) else {
+    let scans: Vec<ScanResult> = tracepoints
+        .iter()
+        .map(|t| super::scan(db, Query::new(*t).select(TRACE_COLUMNS)))
+        .collect();
+    let firsts: Vec<HashMap<TraceKey<'_>, u64>> =
+        scans.iter().map(ScanResult::first_ts_by_trace).collect();
+    let Some(first) = firsts.first() else {
         return Vec::new();
     };
-    // Trace IDs ordered by first-tracepoint timestamp.
-    let mut ids: Vec<(u64, String)> = first
-        .trace_ids()
-        .into_iter()
-        .filter_map(|id| {
-            first
-                .by_trace_id(&id)
-                .first()
-                .map(|e| (e.timestamp_ns(), id.clone()))
-        })
+    // Trace IDs ordered by first-tracepoint timestamp, then by name.
+    let mut ids: Vec<(u64, String, TraceKey<'_>)> = first
+        .iter()
+        .map(|(&id, &t)| (t, id.to_string(), id))
         .collect();
-    ids.sort();
-    let tables: Vec<_> = tracepoints.iter().map(|t| db.table(t)).collect();
+    ids.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
     ids.into_iter()
-        .map(|(_, id)| {
-            let stamps: Vec<Option<u64>> = tables
-                .iter()
-                .map(|t| {
-                    t.and_then(|t| t.by_trace_id(&id).first().copied())
-                        .map(|e| e.timestamp_ns())
-                })
-                .collect();
+        .map(|(_, name, id)| {
+            let stamps: Vec<Option<u64>> = firsts.iter().map(|f| f.get(&id).copied()).collect();
             let segs: Vec<Option<u64>> = stamps
                 .windows(2)
                 .map(|w| match (w[0], w[1]) {
@@ -75,7 +78,7 @@ pub fn per_packet_segments(db: &TraceDb, tracepoints: &[&str]) -> Vec<(String, V
                     _ => None,
                 })
                 .collect();
-            (id, segs)
+            (name, segs)
         })
         .collect()
 }

@@ -5,9 +5,10 @@
 //! metric groups a drop table back into kernel-style reason counts — the
 //! `vnt drops` report and the scenario pack's ground-truth check.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use vnet_tsdb::{Query, TraceDb, DROP_REASON_TAG};
+use vnet_tsdb::{ColumnId, Query, TraceDb, DROP_REASON_TAG};
 
 /// Reason label used for drop records whose flag bits carry no known
 /// reason code (e.g. a record produced by a plain `RecordPacketInfo`
@@ -17,24 +18,34 @@ pub const UNATTRIBUTED: &str = "unattributed";
 /// Counts the records of `table` grouped by drop reason, sorted by
 /// reason name. Scans sealed segments as well as the hot tail, so the
 /// breakdown is identical on a reopened disk-backed store. Returns an
-/// empty vector when the table does not exist (or cannot be scanned).
+/// empty vector when the table does not exist.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of the table cannot be read — an empty
+/// breakdown would read as "no drops".
 pub fn drop_breakdown(db: &TraceDb, table: &str) -> Vec<(String, u64)> {
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    if let Ok(scan) = Query::new(table).scan(db) {
-        for e in scan.entries() {
-            let reason = e
-                .tag(DROP_REASON_TAG)
-                .map(|c| c.into_owned())
-                .unwrap_or_else(|| UNATTRIBUTED.to_owned());
-            *counts.entry(reason).or_insert(0) += 1;
-        }
+    let scan = super::scan(db, Query::new(table).select([ColumnId::Flags]));
+    let mut counts: BTreeMap<Cow<'_, str>, u64> = BTreeMap::new();
+    for e in scan.iter() {
+        let reason = e
+            .tag(DROP_REASON_TAG)
+            .unwrap_or(Cow::Borrowed(UNATTRIBUTED));
+        *counts.entry(reason).or_insert(0) += 1;
     }
-    counts.into_iter().collect()
+    counts
+        .into_iter()
+        .map(|(reason, n)| (reason.into_owned(), n))
+        .collect()
 }
 
 /// [`drop_breakdown`] summed across every measurement whose name ends in
 /// `_drops` — the whole-world view `vnt drops` prints when no table is
 /// named.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of a drop table cannot be read.
 pub fn drop_breakdown_all(db: &TraceDb) -> Vec<(String, u64)> {
     let tables: Vec<String> = db
         .measurements()

@@ -5,36 +5,61 @@
 //! (Fig. 6) — the capability Case Study I leans on to separate the
 //! Sockperf flow from the competing iPerf flows inside OVS.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{ColumnId, FlowKey, Query, TraceDb};
 
 use super::loss::PacketLoss;
-use super::throughput::throughput_bps;
+use super::throughput::Throughput;
+
+/// The columns that make up a record's flow 4-tuple.
+const FLOW_COLUMNS: [ColumnId; 4] = [
+    ColumnId::Saddr,
+    ColumnId::Daddr,
+    ColumnId::Sport,
+    ColumnId::Dport,
+];
+
+/// Re-keys per-flow groups by the rendered flow name, merging groups
+/// that render alike (a record's 4-tuple and a point's equal tag).
+fn by_name<T>(groups: HashMap<FlowKey<'_>, T>, merge: impl Fn(&mut T, T)) -> BTreeMap<String, T> {
+    let mut out: BTreeMap<String, T> = BTreeMap::new();
+    for (flow, v) in groups {
+        let name = flow.to_string();
+        match out.get_mut(&name) {
+            Some(acc) => merge(acc, v),
+            None => {
+                out.insert(name, v);
+            }
+        }
+    }
+    out
+}
 
 /// Computes throughput per flow (grouped by the `flow` tag) at a
 /// tracepoint's table. Returns `(flow, bits/sec)` sorted by flow name.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of the table cannot be read.
 pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)> {
-    let Some(table) = db.table(measurement) else {
-        return Vec::new();
-    };
-    let mut groups: BTreeMap<String, Vec<(u64, u32, bool)>> = BTreeMap::new();
-    for e in table.entries() {
-        let Some(flow) = e.tag("flow") else {
+    let columns = [ColumnId::Ts, ColumnId::PktLen, ColumnId::Flags];
+    let query = Query::new(measurement).select(columns.into_iter().chain(FLOW_COLUMNS));
+    let scan = super::scan(db, query);
+    let mut groups: HashMap<FlowKey<'_>, Throughput> = HashMap::new();
+    for e in scan.iter() {
+        let (Some(flow), Some(len)) = (e.flow_key(), e.field_u64("pkt_len")) else {
             continue;
         };
-        let Some(len) = e.field_u64("pkt_len") else {
-            continue;
-        };
-        groups.entry(flow.into_owned()).or_default().push((
+        groups.entry(flow).or_insert_with(Throughput::new).push(
             e.timestamp_ns(),
             len as u32,
-            e.tag(TRACE_ID_TAG).is_some(),
-        ));
+            e.trace_key().is_some(),
+        );
     }
-    groups
+    by_name(groups, Throughput::merge)
         .into_iter()
-        .map(|(flow, samples)| (flow, throughput_bps(&samples)))
+        .map(|(flow, t)| (flow, t.bps()))
         .collect()
 }
 
@@ -42,37 +67,25 @@ pub fn per_flow_throughput(db: &TraceDb, measurement: &str) -> Vec<(String, f64)
 /// the `flow` tag — the per-flow counterpart of
 /// [`super::loss::packet_loss`], which lets a user tell *which* flow a
 /// congested device is dropping. Returns `(flow, loss)` sorted by flow.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of either table cannot be read.
 pub fn per_flow_loss(db: &TraceDb, upstream: &str, downstream: &str) -> Vec<(String, PacketLoss)> {
     let count_by_flow = |measurement: &str| -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        if let Some(table) = db.table(measurement) {
-            for e in table.entries() {
-                if let Some(flow) = e.tag("flow") {
-                    *out.entry(flow.into_owned()).or_insert(0) += 1;
-                }
-            }
+        let scan = super::scan(db, Query::new(measurement).select(FLOW_COLUMNS));
+        let mut counts: HashMap<FlowKey<'_>, u64> = HashMap::new();
+        for flow in scan.iter().filter_map(|e| e.flow_key()) {
+            *counts.entry(flow).or_insert(0) += 1;
         }
-        out
+        by_name(counts, |a, b| *a += b)
     };
     let up = count_by_flow(upstream);
     let down = count_by_flow(downstream);
     up.into_iter()
         .map(|(flow, n_i)| {
             let n_j = down.get(&flow).copied().unwrap_or(0);
-            let lost = n_i.saturating_sub(n_j);
-            (
-                flow,
-                PacketLoss {
-                    upstream: n_i,
-                    downstream: n_j,
-                    lost,
-                    rate: if n_i == 0 {
-                        0.0
-                    } else {
-                        lost as f64 / n_i as f64
-                    },
-                },
-            )
+            (flow, PacketLoss::from_counts(n_i, n_j))
         })
         .collect()
 }

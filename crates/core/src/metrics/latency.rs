@@ -70,6 +70,10 @@ pub fn stats_from_ns(samples: &[u64]) -> Option<LatencyStats> {
 /// `from`'s before subtraction. Deltas that come out negative (clock
 /// inversion beyond the skew estimate) are dropped, as data cleaning
 /// would.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of either table cannot be read.
 pub fn latency_between(
     db: &TraceDb,
     from: &str,

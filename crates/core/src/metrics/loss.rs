@@ -21,22 +21,29 @@ pub struct PacketLoss {
     pub rate: f64,
 }
 
-/// Computes packet loss between tracepoint tables `upstream` and
-/// `downstream`.
-pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss {
-    let n_i = db.table(upstream).map_or(0, |t| t.len() as u64);
-    let n_j = db.table(downstream).map_or(0, |t| t.len() as u64);
-    let lost = n_i.saturating_sub(n_j);
-    PacketLoss {
-        upstream: n_i,
-        downstream: n_j,
-        lost,
-        rate: if n_i == 0 {
-            0.0
-        } else {
-            lost as f64 / n_i as f64
-        },
+impl PacketLoss {
+    /// Loss from `n_i` packets upstream and `n_j` downstream.
+    pub(crate) fn from_counts(n_i: u64, n_j: u64) -> Self {
+        let lost = n_i.saturating_sub(n_j);
+        PacketLoss {
+            upstream: n_i,
+            downstream: n_j,
+            lost,
+            rate: if n_i == 0 {
+                0.0
+            } else {
+                lost as f64 / n_i as f64
+            },
+        }
     }
+}
+
+/// Computes packet loss between tracepoint tables `upstream` and
+/// `downstream`. The counts come from [`TraceDb::count`] — segment
+/// footers plus the hot tail — so no column is decoded and the call
+/// cannot fail.
+pub fn packet_loss(db: &TraceDb, upstream: &str, downstream: &str) -> PacketLoss {
+    PacketLoss::from_counts(db.count(upstream) as u64, db.count(downstream) as u64)
 }
 
 #[cfg(test)]

@@ -5,53 +5,86 @@
 //! Σ_{i=1}^{N} (S_i − S_ID) / (T_N − T_1), where … S_ID is the 4 bytes
 //! packet unique ID." (§III-D)
 
-use vnet_tsdb::{TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{ColumnId, Query, TraceDb};
 
 /// Bytes the trace ID adds to each packet on the wire (`S_ID`).
 pub const TRACE_ID_WIRE_BYTES: u64 = 4;
+
+/// Running sums behind [`throughput_bps`]: sample count, first and last
+/// timestamp, and payload bytes net of the trace ID.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Throughput {
+    samples: u64,
+    first: u64,
+    last: u64,
+    bytes: u64,
+}
+
+impl Throughput {
+    pub(crate) fn new() -> Self {
+        Throughput {
+            samples: 0,
+            first: u64::MAX,
+            last: 0,
+            bytes: 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, timestamp_ns: u64, len: u32, has_id: bool) {
+        self.samples += 1;
+        self.first = self.first.min(timestamp_ns);
+        self.last = self.last.max(timestamp_ns);
+        self.bytes += u64::from(len).saturating_sub(if has_id { TRACE_ID_WIRE_BYTES } else { 0 });
+    }
+
+    pub(crate) fn merge(&mut self, other: Throughput) {
+        self.samples += other.samples;
+        self.first = self.first.min(other.first);
+        self.last = self.last.max(other.last);
+        self.bytes += other.bytes;
+    }
+
+    pub(crate) fn bps(&self) -> f64 {
+        if self.samples < 2 || self.last == self.first {
+            return 0.0;
+        }
+        (self.bytes * 8) as f64 / ((self.last - self.first) as f64 / 1e9)
+    }
+}
 
 /// Computes throughput in bits/second from `(timestamp_ns, size_bytes,
 /// carries_trace_id)` samples. Returns 0.0 with fewer than two samples or
 /// zero elapsed time.
 pub fn throughput_bps(samples: &[(u64, u32, bool)]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
+    let mut t = Throughput::new();
+    for &(ts, len, has_id) in samples {
+        t.push(ts, len, has_id);
     }
-    let t_first = samples.iter().map(|s| s.0).min().expect("non-empty");
-    let t_last = samples.iter().map(|s| s.0).max().expect("non-empty");
-    if t_last == t_first {
-        return 0.0;
-    }
-    let bytes: u64 = samples
-        .iter()
-        .map(|&(_, len, has_id)| {
-            u64::from(len).saturating_sub(if has_id { TRACE_ID_WIRE_BYTES } else { 0 })
-        })
-        .sum();
-    (bytes * 8) as f64 / ((t_last - t_first) as f64 / 1e9)
+    t.bps()
 }
 
 /// Computes throughput at a tracepoint's table, reading each record's
 /// `pkt_len` field and whether it carries a trace ID.
+///
+/// # Panics
+///
+/// Panics if a sealed segment of the table cannot be read.
 pub fn throughput_at(db: &TraceDb, measurement: &str) -> f64 {
-    let Some(table) = db.table(measurement) else {
-        return 0.0;
-    };
-    let samples: Vec<(u64, u32, bool)> = table
-        .entries()
-        .iter()
-        .filter_map(|e| {
-            let len = e.field_u64("pkt_len")? as u32;
-            Some((e.timestamp_ns(), len, e.tag(TRACE_ID_TAG).is_some()))
-        })
-        .collect();
-    throughput_bps(&samples)
+    let columns = [ColumnId::Ts, ColumnId::PktLen, ColumnId::Flags];
+    let scan = super::scan(db, Query::new(measurement).select(columns));
+    let mut t = Throughput::new();
+    for e in scan.iter() {
+        if let Some(len) = e.field_u64("pkt_len") {
+            t.push(e.timestamp_ns(), len as u32, e.trace_key().is_some());
+        }
+    }
+    t.bps()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vnet_tsdb::DataPoint;
+    use vnet_tsdb::{DataPoint, TRACE_ID_TAG};
 
     #[test]
     fn formula_subtracts_trace_id_bytes() {

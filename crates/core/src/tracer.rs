@@ -415,8 +415,12 @@ mod tests {
         assert_eq!(cstats.lost_records, 0);
         assert_eq!(cstats.agents.len(), 1);
         assert_eq!(cstats.agents[0].node, "server1");
-        // Records landed in shards, not materialized points.
-        assert_eq!(tracer.db().table("eth0_rx").unwrap().shards().len(), 1);
+        // Records stay compact, not materialized points.
+        let scan = vnet_tsdb::Query::new("eth0_rx").scan(tracer.db()).unwrap();
+        assert_eq!(scan.len(), 10);
+        assert!(scan
+            .iter()
+            .all(|e| matches!(e, vnet_tsdb::Entry::Record { .. })));
     }
 
     #[test]
@@ -436,11 +440,9 @@ mod tests {
             send_packets(&mut w, d0, 10);
             w.run_until(SimTime::from_millis(5));
             tracer.collect(&w);
-            let recs: Vec<_> = tracer
-                .db()
-                .table("eth0_rx")
+            let recs: Vec<_> = vnet_tsdb::Query::new("eth0_rx")
+                .scan(tracer.db())
                 .unwrap()
-                .entries()
                 .iter()
                 .map(|e| {
                     (
@@ -514,12 +516,12 @@ mod tests {
         tracer.undeploy_all(&mut w);
         assert!(tracer.deployed().is_empty());
         // Undeploy flushed the pending records first.
-        assert_eq!(tracer.db().table("eth0_rx").unwrap().len(), 2);
+        assert_eq!(tracer.db().count("eth0_rx"), 2);
         // New traffic after undeploy is not traced.
         send_packets(&mut w, d0, 3);
         w.run_until(SimTime::from_millis(2));
         assert_eq!(tracer.collect(&w), 0);
-        assert_eq!(tracer.db().table("eth0_rx").unwrap().len(), 2);
+        assert_eq!(tracer.db().count("eth0_rx"), 2);
     }
 
     #[test]
@@ -538,7 +540,7 @@ mod tests {
         send_packets(&mut w, d0, 1);
         w.run_until(SimTime::from_millis(2));
         tracer.collect(&w);
-        assert_eq!(tracer.db().table("phase1").unwrap().len(), 1);
-        assert_eq!(tracer.db().table("phase2").unwrap().len(), 1);
+        assert_eq!(tracer.db().count("phase1"), 1);
+        assert_eq!(tracer.db().count("phase2"), 1);
     }
 }

@@ -319,7 +319,7 @@ mod tests {
         // And the tracer actually captured the flow at all 4 points.
         for table in ["s1_ovs_br1", "s2_ovs_br1", "s2_ens3", "s1_ens3"] {
             assert!(
-                tracer.db().table(table).is_some_and(|t| !t.is_empty()),
+                tracer.db().count(table) > 0,
                 "table {table} should have records"
             );
         }

@@ -11,8 +11,14 @@
 //! drain perf rings into a reusable [`RecordBatch`] of fixed-size
 //! [`CompactRecord`]s, and whole groups are appended into per-(table,
 //! node) shards keyed by interned [`Symbol`]s — no per-record allocation
-//! or name hashing. Reads see both paths uniformly through
-//! [`Entry`] views.
+//! or name hashing.
+//!
+//! Reads have one path, [`Query::scan`]: it covers the in-memory hot
+//! tail and sealed segments alike, decodes only the columns a query
+//! filters on or [selects](Query::select), and yields [`Entry`] views
+//! that present points and records uniformly. [`TraceDb::count`]
+//! answers an unfiltered count from segment footers without decoding
+//! anything.
 //!
 //! ## Example
 //!
@@ -26,8 +32,9 @@
 //! // Latency between the two VXLAN devices for packet 42:
 //! let pairs = db.join_timestamps("flannel1", "flannel2");
 //! assert_eq!(pairs, vec![(100, 190)]);
-//! let entries = Query::new("flannel1").run(&db);
-//! assert_eq!(aggregate(&entries, "len").mean, 60.0);
+//! let scan = Query::new("flannel1").scan(&db)?;
+//! assert_eq!(aggregate(&scan.entries(), "len").mean, 60.0);
+//! # Ok::<(), vnet_tsdb::StoreError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,16 +52,18 @@ pub mod segment;
 pub mod sketch;
 pub mod store;
 pub mod symbol;
-pub mod table;
+mod table;
 pub mod wal;
 
 pub use batch::{BatchGroup, RecordBatch};
 pub use persist::{read_json_lines, write_json_lines, PersistError};
 pub use point::{DataPoint, FieldValue};
-pub use query::{aggregate, percentile, percentiles, Aggregate, Query, ScanResult, ScanStats};
+pub use query::{
+    aggregate, percentile, percentiles, Aggregate, Query, ScanResult, ScanStats, TRACE_COLUMNS,
+};
 pub use record::{drop_reason_code, drop_reason_name, CompactRecord, COMPACT_RECORD_BYTES};
-pub use segment::{Segment, SegmentMeta};
+pub use segment::{ColumnId, Segment, SegmentMeta};
 pub use sketch::{LogHistogram, DEFAULT_SKETCH_ERROR};
 pub use store::{MeasurementStorage, StorageStats, StoreError, StoreOptions, TraceDb};
 pub use symbol::{Symbol, SymbolTable};
-pub use table::{Entry, RecordShard, Table, DROP_REASON_TAG, TRACE_ID_TAG};
+pub use table::{Entry, FlowKey, TraceKey, DROP_REASON_TAG, TRACE_ID_TAG};

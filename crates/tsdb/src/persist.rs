@@ -143,9 +143,8 @@ mod tests {
             db.join_timestamps("tp_a", "tp_b")
         );
         // Fields preserved.
-        let table = loaded.table("tp_a").unwrap();
-        let entries = table.entries();
-        assert_eq!(entries[0].field_u64("pkt_len"), Some(60));
+        let scan = Query::new("tp_a").scan(&loaded).unwrap();
+        assert_eq!(scan.entries()[0].field_u64("pkt_len"), Some(60));
     }
 
     #[test]
@@ -173,11 +172,11 @@ mod tests {
         assert_eq!(write_json_lines(&db, &mut buf).unwrap(), 4);
         let loaded = read_json_lines(&buf[..]).unwrap();
         assert_eq!(loaded.len(), 4);
-        let orig: Vec<_> = db.table("tp_a").unwrap().entries();
-        let back: Vec<_> = loaded.table("tp_a").unwrap().entries();
-        for (o, b) in orig.iter().zip(&back) {
-            assert_eq!(o.to_point(), b.to_point());
-        }
+        let points = |db: &TraceDb| -> Vec<DataPoint> {
+            let scan = Query::new("tp_a").scan(db).unwrap();
+            scan.iter().map(|e| e.to_point()).collect()
+        };
+        assert_eq!(points(&db), points(&loaded));
     }
 
     #[test]

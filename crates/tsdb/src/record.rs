@@ -9,7 +9,8 @@
 //! read instead.
 
 use crate::point::DataPoint;
-use crate::table::{DROP_REASON_TAG, TRACE_ID_TAG};
+use crate::segment::ColumnId;
+use crate::table::{FlowKey, DROP_REASON_TAG, TRACE_ID_TAG};
 
 /// Resolves a drop-reason code (record flag bits 1–3) to its canonical
 /// tag value. Code 0 means "not a drop record"; unknown codes also
@@ -63,6 +64,7 @@ pub struct CompactRecord {
 
 impl CompactRecord {
     /// Whether the packet carried a trace ID.
+    #[inline]
     pub fn has_trace_id(&self) -> bool {
         self.flags & 1 != 0
     }
@@ -74,9 +76,54 @@ impl CompactRecord {
 
     /// The `flow` tag value: `src:sport->dst:dport`.
     pub fn flow(&self) -> String {
-        let src = std::net::Ipv4Addr::from(self.saddr);
-        let dst = std::net::Ipv4Addr::from(self.daddr);
-        format!("{src}:{}->{dst}:{}", self.sport, self.dport)
+        self.flow_key().to_string()
+    }
+
+    /// The flow 4-tuple, typed; renders as [`CompactRecord::flow`].
+    #[inline]
+    pub fn flow_key(&self) -> FlowKey<'static> {
+        FlowKey::Tuple {
+            saddr: self.saddr,
+            daddr: self.daddr,
+            sport: self.sport,
+            dport: self.dport,
+        }
+    }
+
+    /// The value of column `id`, widened; 0 for the row-identity
+    /// columns `Seq` and `Node`, which are not record fields.
+    pub(crate) fn field(&self, id: ColumnId) -> u64 {
+        match id {
+            ColumnId::Seq | ColumnId::Node => 0,
+            ColumnId::Ts => self.timestamp_ns,
+            ColumnId::TraceId => u64::from(self.trace_id),
+            ColumnId::PktLen => u64::from(self.pkt_len),
+            ColumnId::Saddr => u64::from(self.saddr),
+            ColumnId::Daddr => u64::from(self.daddr),
+            ColumnId::Sport => u64::from(self.sport),
+            ColumnId::Dport => u64::from(self.dport),
+            ColumnId::Cpu => u64::from(self.cpu),
+            ColumnId::Direction => u64::from(self.direction),
+            ColumnId::Flags => u64::from(self.flags),
+        }
+    }
+
+    /// Builds a record from its column values — the inverse of
+    /// [`CompactRecord::field`].
+    #[inline]
+    pub(crate) fn from_fields(value: impl Fn(ColumnId) -> u64) -> Self {
+        CompactRecord {
+            timestamp_ns: value(ColumnId::Ts),
+            trace_id: value(ColumnId::TraceId) as u32,
+            pkt_len: value(ColumnId::PktLen) as u32,
+            saddr: value(ColumnId::Saddr) as u32,
+            daddr: value(ColumnId::Daddr) as u32,
+            sport: value(ColumnId::Sport) as u16,
+            dport: value(ColumnId::Dport) as u16,
+            cpu: value(ColumnId::Cpu) as u16,
+            direction: value(ColumnId::Direction) as u8,
+            flags: value(ColumnId::Flags) as u8,
+        }
     }
 
     /// The `direction` tag value.

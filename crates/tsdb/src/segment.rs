@@ -389,18 +389,14 @@ impl ColumnData {
             .map(|_| Vec::with_capacity(rows.len()))
             .collect();
         for (seq, node, r) in rows {
-            cols[ColumnId::Seq as usize].push(*seq);
-            cols[ColumnId::Ts as usize].push(r.timestamp_ns);
-            cols[ColumnId::Node as usize].push(u64::from(*node));
-            cols[ColumnId::TraceId as usize].push(u64::from(r.trace_id));
-            cols[ColumnId::PktLen as usize].push(u64::from(r.pkt_len));
-            cols[ColumnId::Saddr as usize].push(u64::from(r.saddr));
-            cols[ColumnId::Daddr as usize].push(u64::from(r.daddr));
-            cols[ColumnId::Sport as usize].push(u64::from(r.sport));
-            cols[ColumnId::Dport as usize].push(u64::from(r.dport));
-            cols[ColumnId::Cpu as usize].push(u64::from(r.cpu));
-            cols[ColumnId::Direction as usize].push(u64::from(r.direction));
-            cols[ColumnId::Flags as usize].push(u64::from(r.flags));
+            for id in ColumnId::ALL {
+                let v = match id {
+                    ColumnId::Seq => *seq,
+                    ColumnId::Node => u64::from(*node),
+                    _ => r.field(id),
+                };
+                cols[id as usize].push(v);
+            }
         }
         ColumnData { nodes, cols }
     }
@@ -515,23 +511,6 @@ impl Segment {
             Encoding::DeltaOfDelta => codec::decode_dod(&block, n)?,
         };
         Ok(values)
-    }
-
-    /// Materializes row `i` of pre-decoded column lanes (helper for the
-    /// scan path). `cols` must hold all twelve lanes in `ALL` order.
-    pub(crate) fn record_from_cols(cols: &[Vec<u64>], i: usize) -> CompactRecord {
-        CompactRecord {
-            timestamp_ns: cols[ColumnId::Ts as usize][i],
-            trace_id: cols[ColumnId::TraceId as usize][i] as u32,
-            pkt_len: cols[ColumnId::PktLen as usize][i] as u32,
-            saddr: cols[ColumnId::Saddr as usize][i] as u32,
-            daddr: cols[ColumnId::Daddr as usize][i] as u32,
-            sport: cols[ColumnId::Sport as usize][i] as u16,
-            dport: cols[ColumnId::Dport as usize][i] as u16,
-            cpu: cols[ColumnId::Cpu as usize][i] as u16,
-            direction: cols[ColumnId::Direction as usize][i] as u8,
-            flags: cols[ColumnId::Flags as usize][i] as u8,
-        }
     }
 }
 
@@ -673,11 +652,7 @@ mod tests {
             .iter()
             .map(|&id| seg.read_column(id).unwrap())
             .collect();
-        for (i, (seq, node, r)) in rows.iter().enumerate() {
-            assert_eq!(cols[ColumnId::Seq as usize][i], *seq);
-            assert_eq!(cols[ColumnId::Node as usize][i], u64::from(*node));
-            assert_eq!(Segment::record_from_cols(&cols, i), *r);
-        }
+        assert_eq!(cols, ColumnData::from_rows(nodes.clone(), &rows).cols);
         // Columnar encoding beats the 32 B/record raw form by a wide
         // margin on this regular data.
         assert!(meta.file_bytes < 500 * 32 / 2);

@@ -2,7 +2,7 @@
 //! optionally backed by an on-disk segment store.
 //!
 //! [`TraceDb::new`] builds the classic in-memory store: everything lives
-//! in per-measurement [`Table`]s and vanishes with the process — the
+//! in per-measurement tables and vanishes with the process — the
 //! right shape for the live engine and short testbed runs.
 //!
 //! [`TraceDb::open`] binds the database to a directory and turns
@@ -43,6 +43,7 @@ use serde_json::{member, object, FromJson, ToJson, Value};
 use crate::batch::RecordBatch;
 use crate::compact::{CompactionJob, Compactor, FinishedCompaction};
 use crate::point::DataPoint;
+use crate::query::{Query, TRACE_COLUMNS};
 use crate::record::{CompactRecord, COMPACT_RECORD_BYTES};
 use crate::segment::{ColumnData, Segment, SegmentError};
 use crate::symbol::{Symbol, SymbolTable};
@@ -402,10 +403,12 @@ impl Drop for DiskStore {
     }
 }
 
-/// An embedded time-series store, one [`Table`] per measurement —
+/// An embedded time-series store, one table per measurement —
 /// vNetTracer's "trace database" where "all the tracing records at
 /// different tracepoints are dumped … where records are indexed by their
-/// packet IDs" (§III-C).
+/// packet IDs" (§III-C). No index is kept: [`TraceDb::join_timestamps`]
+/// pairs packet IDs from two scans, and [`Query::scan`] is the one way
+/// records are read.
 ///
 /// Measurement and node names are interned once in a [`SymbolTable`];
 /// tables are keyed by symbol, so the batched ingest path
@@ -829,10 +832,11 @@ impl TraceDb {
         &self.symbols
     }
 
-    /// Borrows a measurement's table — the *hot tail* on a disk-backed
-    /// database (sealed records are reachable through
-    /// [`Query::scan`](crate::query::Query::scan)).
-    pub fn table(&self, measurement: &str) -> Option<&Table> {
+    /// Borrows a measurement's in-memory table: points and the hot,
+    /// unsealed records only. Reads go through
+    /// [`Query::scan`](crate::query::Query::scan), which adds the sealed
+    /// segments.
+    pub(crate) fn table(&self, measurement: &str) -> Option<&Table> {
         let sym = self.symbols.lookup(measurement)?;
         self.tables.get(&sym)
     }
@@ -842,16 +846,24 @@ impl TraceDb {
         self.tables.values().map(Table::name)
     }
 
-    /// Total number of stored entries: points and hot shard records,
-    /// plus sealed segment records on a disk-backed database.
-    pub fn len(&self) -> usize {
-        let hot: usize = self.tables.values().map(Table::len).sum();
+    /// Number of entries in `measurement`, wherever they live: sealed
+    /// rows counted from segment footers plus the in-memory points and
+    /// hot records. Decodes no column, so it cannot fail.
+    pub fn count(&self, measurement: &str) -> usize {
         let sealed: u64 = self
             .disk
-            .as_ref()
-            .map(|d| d.segments.iter().map(|s| s.meta().records).sum())
-            .unwrap_or(0);
-        hot + sealed as usize
+            .iter()
+            .flat_map(|d| &d.segments)
+            .filter(|s| s.meta().measurement == measurement)
+            .map(|s| s.meta().records)
+            .sum();
+        self.table(measurement).map_or(0, Table::len) + sealed as usize
+    }
+
+    /// Total number of stored entries: [`TraceDb::count`] summed over
+    /// every measurement.
+    pub fn len(&self) -> usize {
+        self.measurements().map(|m| self.count(m)).sum()
     }
 
     /// Whether the database holds no entries.
@@ -861,65 +873,34 @@ impl TraceDb {
 
     /// Joins a trace ID across two measurements: for every trace ID seen
     /// in both, yields the pair of timestamps `(t_a, t_b)` of its first
-    /// record in each — the primitive behind vNetTracer's two-tracepoint
-    /// latency computation (§III-D).
+    /// record in each, sorted — the primitive behind vNetTracer's
+    /// two-tracepoint latency computation (§III-D). Both sides are one
+    /// [`Query::scan`](crate::query::Query::scan) reading the timestamp,
+    /// trace-ID and flag columns.
     ///
     /// # Panics
     ///
     /// Panics if a disk-backed database fails to read a sealed segment.
     pub fn join_timestamps(&self, measurement_a: &str, measurement_b: &str) -> Vec<(u64, u64)> {
-        if self.disk.is_some() {
-            return self
-                .join_timestamps_scanned(measurement_a, measurement_b)
-                .unwrap_or_else(|e| panic!("sealed segment read failed: {e}"));
-        }
-        let (Some(a), Some(b)) = (self.table(measurement_a), self.table(measurement_b)) else {
-            return Vec::new();
+        let scan = |m: &str| {
+            Query::new(m)
+                .select(TRACE_COLUMNS)
+                .scan(self)
+                .unwrap_or_else(|e| panic!("sealed segment read failed: {e}"))
         };
-        let mut out = Vec::new();
-        for id in a.trace_ids() {
-            let Some(ea) = a.by_trace_id(&id).first().copied() else {
-                continue;
-            };
-            let Some(eb) = b.by_trace_id(&id).first().copied() else {
-                continue;
-            };
-            out.push((ea.timestamp_ns(), eb.timestamp_ns()));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Disk-aware join: scans each measurement (sealed + hot) and pairs
-    /// the first timestamp per trace ID.
-    fn join_timestamps_scanned(
-        &self,
-        measurement_a: &str,
-        measurement_b: &str,
-    ) -> Result<Vec<(u64, u64)>, StoreError> {
-        let a = self.first_ts_by_trace(measurement_a)?;
+        let a = scan(measurement_a);
         if a.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
-        let b = self.first_ts_by_trace(measurement_b)?;
+        let b = scan(measurement_b);
+        let first_b = b.first_ts_by_trace();
         let mut out: Vec<(u64, u64)> = a
-            .iter()
-            .filter_map(|(id, &ta)| b.get(id).map(|&tb| (ta, tb)))
+            .first_ts_by_trace()
+            .into_iter()
+            .filter_map(|(id, ta)| first_b.get(&id).map(|&tb| (ta, tb)))
             .collect();
         out.sort_unstable();
-        Ok(out)
-    }
-
-    fn first_ts_by_trace(&self, measurement: &str) -> Result<BTreeMap<String, u64>, StoreError> {
-        let scan = crate::query::Query::new(measurement).scan(self)?;
-        let mut map = BTreeMap::new();
-        for e in scan.entries() {
-            if let Some(id) = e.tag(crate::table::TRACE_ID_TAG) {
-                map.entry(id.into_owned())
-                    .or_insert_with(|| e.timestamp_ns());
-            }
-        }
-        Ok(map)
+        out
     }
 }
 
@@ -951,10 +932,11 @@ mod tests {
         db.insert(DataPoint::new("b", 2));
         db.insert(DataPoint::new("a", 3));
         assert_eq!(db.len(), 3);
-        assert_eq!(db.table("a").unwrap().len(), 2);
+        assert_eq!(db.count("a"), 2);
         let mut names: Vec<&str> = db.measurements().collect();
         names.sort_unstable();
         assert_eq!(names, vec!["a", "b"]);
+        assert_eq!(db.count("zzz"), 0);
         assert!(db.table("zzz").is_none());
     }
 
@@ -970,6 +952,16 @@ mod tests {
         let joined = db.join_timestamps("p1", "p2");
         assert_eq!(joined, vec![(100, 150), (200, 280)]);
         assert!(db.join_timestamps("p1", "absent").is_empty());
+        // A record joins a point naming the same packet in canonical
+        // hex, and only a packet's first record on each side counts.
+        let mut batch = RecordBatch::new();
+        batch.push("p1", "n", rec(400, 0xab));
+        batch.push("p1", "n", rec(410, 0xab));
+        db.insert_batch(&batch);
+        db.insert(DataPoint::new("p2", 450).tag(TRACE_ID_TAG, "000000ab"));
+        db.insert(DataPoint::new("p2", 460).tag(TRACE_ID_TAG, "000000ab"));
+        let joined = db.join_timestamps("p1", "p2");
+        assert_eq!(joined, vec![(100, 150), (200, 280), (400, 450)]);
     }
 
     #[test]
@@ -1020,11 +1012,19 @@ mod tests {
             single.join_timestamps("tp_a", "tp_b")
         );
         for m in ["tp_a", "tp_b"] {
-            let b = batched.table(m).unwrap();
-            let s = single.table(m).unwrap();
-            assert_eq!(b.trace_ids(), s.trace_ids());
-            let bp: Vec<DataPoint> = b.entries().iter().map(|e| e.to_point()).collect();
-            let sp: Vec<DataPoint> = s.entries().iter().map(|e| e.to_point()).collect();
+            use crate::query::ScanResult;
+            let (b, s) = (
+                Query::new(m).scan(&batched).unwrap(),
+                Query::new(m).scan(&single).unwrap(),
+            );
+            let ids = |scan: &ScanResult| -> Vec<String> {
+                scan.iter()
+                    .filter_map(|e| e.tag(TRACE_ID_TAG).map(|t| t.into_owned()))
+                    .collect()
+            };
+            assert_eq!(ids(&b), ids(&s));
+            let bp: Vec<DataPoint> = b.iter().map(|e| e.to_point()).collect();
+            let sp: Vec<DataPoint> = s.iter().map(|e| e.to_point()).collect();
             assert_eq!(bp, sp);
         }
         // Batched tables hold shards, not points.

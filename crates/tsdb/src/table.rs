@@ -1,23 +1,25 @@
 //! Per-measurement tables: point storage plus per-node record shards,
-//! unified behind the [`Entry`] read view.
+//! and the [`Entry`] view queries read both through.
 //!
 //! A table holds two kinds of data. Hand-built [`DataPoint`]s (offline
 //! analysis artifacts, persisted files) keep the old row form. Records
 //! arriving through the batched ingest path stay in compact integer form
 //! inside one [`RecordShard`] per originating node — no tags or fields
-//! are materialized at ingest. Read paths see both uniformly as
-//! [`Entry`] values, ordered by insertion sequence.
+//! are materialized at ingest, and no index is maintained. Tables are
+//! private to the store: every read goes through
+//! [`Query::scan`](crate::query::Query::scan), which sees both kinds
+//! uniformly as [`Entry`] values, ordered by insertion sequence.
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 
 use crate::point::DataPoint;
 use crate::record::CompactRecord;
 use crate::symbol::Symbol;
 
 /// The tag key under which vNetTracer stores the per-packet trace ID;
-/// the collector indexes it so records for one packet can be joined
-/// across tracepoints ("records are indexed by their packet IDs", §III-C).
+/// records for one packet are joined across tracepoints on it ("records
+/// are indexed by their packet IDs", §III-C).
 pub const TRACE_ID_TAG: &str = "trace_id";
 
 /// The tag key under which drop records carry their typed drop reason
@@ -28,61 +30,102 @@ pub const DROP_REASON_TAG: &str = "drop_reason";
 /// append-only and keyed by the node's interned [`Symbol`]; the resolved
 /// name is cached once per shard for read-side materialization.
 #[derive(Debug, Clone)]
-pub struct RecordShard {
+pub(crate) struct RecordShard {
     node: Symbol,
     node_name: String,
     records: Vec<(u64, CompactRecord)>,
-    by_trace_id: HashMap<u32, Vec<usize>>,
 }
 
 impl RecordShard {
-    fn new(node: Symbol, node_name: &str) -> Self {
-        RecordShard {
-            node,
-            node_name: node_name.to_owned(),
-            records: Vec::new(),
-            by_trace_id: HashMap::new(),
-        }
-    }
-
-    fn push(&mut self, seq: u64, record: CompactRecord) {
-        if record.has_trace_id() {
-            self.by_trace_id
-                .entry(record.trace_id)
-                .or_default()
-                .push(self.records.len());
-        }
-        self.records.push((seq, record));
-    }
-
-    /// The owning node's symbol.
-    pub fn node(&self) -> Symbol {
-        self.node
-    }
-
     /// The owning node's name.
-    pub fn node_name(&self) -> &str {
+    pub(crate) fn node_name(&self) -> &str {
         &self.node_name
     }
 
     /// Number of records in the shard.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The shard's records, in ingest order.
-    pub fn records(&self) -> impl Iterator<Item = &CompactRecord> {
-        self.records.iter().map(|(_, r)| r)
     }
 
     /// The shard's `(sequence, record)` pairs, in ingest order.
     pub(crate) fn seq_records(&self) -> &[(u64, CompactRecord)] {
         &self.records
+    }
+}
+
+/// A packet's trace ID in typed form — what [`Entry::tag`] renders for
+/// [`TRACE_ID_TAG`], without rendering it. Compact records carry a
+/// numeric ID. A point's tag in the canonical 8-digit lower-hex form
+/// reads as the same number, so a point and a record naming one packet
+/// compare equal; any other tag value stays a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TraceKey<'a> {
+    /// A numeric trace ID, rendered as 8 lower-hex digits.
+    Id(u32),
+    /// A point's trace-ID tag that is not in canonical hex form.
+    Tag(&'a str),
+}
+
+impl<'a> TraceKey<'a> {
+    /// Reads a trace-ID tag value.
+    #[inline]
+    pub(crate) fn parse(tag: &'a str) -> Self {
+        let canonical =
+            tag.len() == 8 && tag.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        match u32::from_str_radix(tag, 16) {
+            Ok(id) if canonical => TraceKey::Id(id),
+            _ => TraceKey::Tag(tag),
+        }
+    }
+}
+
+impl fmt::Display for TraceKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceKey::Id(id) => write!(f, "{id:08x}"),
+            TraceKey::Tag(tag) => f.write_str(tag),
+        }
+    }
+}
+
+/// A flow in typed form — what [`Entry::tag`] renders for `flow`,
+/// without rendering it. Group by the key and render once per group;
+/// the rendered form is what identifies a flow across records and
+/// points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FlowKey<'a> {
+    /// A compact record's 4-tuple.
+    Tuple {
+        /// Source IPv4 address.
+        saddr: u32,
+        /// Destination IPv4 address.
+        daddr: u32,
+        /// Source port.
+        sport: u16,
+        /// Destination port.
+        dport: u16,
+    },
+    /// A point's `flow` tag.
+    Tag(&'a str),
+}
+
+impl fmt::Display for FlowKey<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FlowKey::Tuple {
+                saddr,
+                daddr,
+                sport,
+                dport,
+            } => {
+                let (src, dst) = (
+                    std::net::Ipv4Addr::from(saddr),
+                    std::net::Ipv4Addr::from(daddr),
+                );
+                write!(f, "{src}:{sport}->{dst}:{dport}")
+            }
+            FlowKey::Tag(tag) => f.write_str(tag),
+        }
     }
 }
 
@@ -107,6 +150,7 @@ pub enum Entry<'a> {
 
 impl<'a> Entry<'a> {
     /// The entry's timestamp in nanoseconds.
+    #[inline]
     pub fn timestamp_ns(&self) -> u64 {
         match self {
             Entry::Point(p) => p.timestamp_ns,
@@ -124,6 +168,7 @@ impl<'a> Entry<'a> {
 
     /// A tag's value. Record-backed entries derive `node`, `flow`,
     /// `direction` and [`TRACE_ID_TAG`] from the compact form.
+    #[inline]
     pub fn tag(&self, key: &str) -> Option<Cow<'a, str>> {
         match self {
             Entry::Point(p) => p.tag_value(key).map(Cow::Borrowed),
@@ -138,8 +183,32 @@ impl<'a> Entry<'a> {
         }
     }
 
+    /// The entry's trace ID, typed: a record's numeric ID when its
+    /// trace-ID flag is set, a point's [`TRACE_ID_TAG`] tag otherwise.
+    /// Allocates nothing, unlike `tag(TRACE_ID_TAG)` on a record.
+    #[inline]
+    pub fn trace_key(&self) -> Option<TraceKey<'a>> {
+        match self {
+            Entry::Point(p) => p.tag_value(TRACE_ID_TAG).map(TraceKey::parse),
+            Entry::Record { record, .. } => record
+                .has_trace_id()
+                .then_some(TraceKey::Id(record.trace_id)),
+        }
+    }
+
+    /// The entry's flow, typed: a record's 4-tuple, a point's `flow`
+    /// tag. Allocates nothing, unlike `tag("flow")` on a record.
+    #[inline]
+    pub fn flow_key(&self) -> Option<FlowKey<'a>> {
+        match self {
+            Entry::Point(p) => p.tag_value("flow").map(FlowKey::Tag),
+            Entry::Record { record, .. } => Some(record.flow_key()),
+        }
+    }
+
     /// A numeric field as `u64`. Record-backed entries expose `pkt_len`
     /// and `cpu`.
+    #[inline]
     pub fn field_u64(&self, key: &str) -> Option<u64> {
         match self {
             Entry::Point(p) => p.field_value(key).and_then(|v| v.as_u64()),
@@ -173,19 +242,19 @@ impl<'a> Entry<'a> {
     }
 }
 
-/// All entries of one measurement (one table per tracepoint).
+/// All entries of one measurement (one table per tracepoint): the
+/// in-memory part of it — points plus the hot, unsealed records.
 #[derive(Debug, Default, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     name: String,
     next_seq: u64,
     points: Vec<(u64, DataPoint)>,
-    points_by_trace_id: HashMap<String, Vec<usize>>,
     shards: Vec<RecordShard>,
 }
 
 impl Table {
     /// Creates an empty table named `name`.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Table {
             name: name.into(),
             ..Default::default()
@@ -193,18 +262,12 @@ impl Table {
     }
 
     /// The table's measurement name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    /// Appends a point, indexing its trace ID if present.
-    pub fn insert(&mut self, point: DataPoint) {
-        if let Some(id) = point.tag_value(TRACE_ID_TAG) {
-            self.points_by_trace_id
-                .entry(id.to_owned())
-                .or_default()
-                .push(self.points.len());
-        }
+    /// Appends a point.
+    pub(crate) fn insert(&mut self, point: DataPoint) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.points.push((seq, point));
@@ -213,79 +276,39 @@ impl Table {
     /// Appends a slice of compact records into `node`'s shard (created on
     /// demand) — the batched ingest path. Records are copied as-is; no
     /// tags or fields are materialized.
-    pub fn insert_records(&mut self, node: Symbol, node_name: &str, records: &[CompactRecord]) {
+    pub(crate) fn insert_records(
+        &mut self,
+        node: Symbol,
+        node_name: &str,
+        records: &[CompactRecord],
+    ) {
         let shard = match self.shards.iter().position(|s| s.node == node) {
             Some(i) => &mut self.shards[i],
             None => {
-                self.shards.push(RecordShard::new(node, node_name));
+                self.shards.push(RecordShard {
+                    node,
+                    node_name: node_name.to_owned(),
+                    records: Vec::new(),
+                });
                 self.shards.last_mut().expect("just pushed")
             }
         };
-        for &record in records {
+        shard.records.extend(records.iter().map(|&record| {
             let seq = self.next_seq;
             self.next_seq += 1;
-            shard.push(seq, record);
-        }
+            (seq, record)
+        }));
     }
 
     /// The table's per-node record shards.
-    pub fn shards(&self) -> &[RecordShard] {
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[RecordShard] {
         &self.shards
     }
 
-    /// All entries — points and shard records — in insertion order.
-    pub fn entries(&self) -> Vec<Entry<'_>> {
-        self.seq_entries().into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Entries carrying the given trace ID, in insertion order.
-    pub fn by_trace_id(&self, id: &str) -> Vec<Entry<'_>> {
-        let mut out: Vec<(u64, Entry<'_>)> = Vec::new();
-        if let Some(indexes) = self.points_by_trace_id.get(id) {
-            for &i in indexes {
-                let (seq, ref p) = self.points[i];
-                out.push((seq, Entry::Point(p)));
-            }
-        }
-        // Record trace IDs are stored numerically; only an 8-digit hex
-        // string can name one (the tag form is always zero-padded).
-        if id.len() == 8 {
-            if let Ok(numeric) = u32::from_str_radix(id, 16) {
-                for shard in &self.shards {
-                    if let Some(indexes) = shard.by_trace_id.get(&numeric) {
-                        for &i in indexes {
-                            let (seq, ref record) = shard.records[i];
-                            out.push((
-                                seq,
-                                Entry::Record {
-                                    measurement: &self.name,
-                                    node: &shard.node_name,
-                                    record,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// All distinct trace IDs in the table, sorted.
-    pub fn trace_ids(&self) -> Vec<String> {
-        let mut ids: BTreeSet<String> = self.points_by_trace_id.keys().cloned().collect();
-        for shard in &self.shards {
-            for id in shard.by_trace_id.keys() {
-                ids.insert(format!("{id:08x}"));
-            }
-        }
-        ids.into_iter().collect()
-    }
-
     /// All entries with their insertion sequence numbers, in sequence
-    /// order. The store uses this to merge the hot tail with sealed
-    /// segments by sequence.
+    /// order. The scan merges this hot tail with sealed segments by
+    /// sequence.
     pub(crate) fn seq_entries(&self) -> Vec<(u64, Entry<'_>)> {
         let mut out: Vec<(u64, Entry<'_>)> = Vec::with_capacity(self.len());
         for (seq, p) in &self.points {
@@ -325,14 +348,9 @@ impl Table {
         self.shards.iter().map(RecordShard::len).sum()
     }
 
-    /// Number of entries (points plus shard records).
-    pub fn len(&self) -> usize {
-        self.points.len() + self.shards.iter().map(RecordShard::len).sum::<usize>()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Number of in-memory entries (points plus hot shard records).
+    pub(crate) fn len(&self) -> usize {
+        self.points.len() + self.hot_records()
     }
 }
 
@@ -341,37 +359,28 @@ mod tests {
     use super::*;
     use crate::symbol::SymbolTable;
 
+    fn stamps(t: &Table) -> Vec<u64> {
+        t.seq_entries()
+            .iter()
+            .map(|(_, e)| e.timestamp_ns())
+            .collect()
+    }
+
     #[test]
-    fn insert_indexes_trace_ids() {
-        let mut t = Table::new("m");
-        t.insert(
-            DataPoint::new("m", 1)
-                .tag(TRACE_ID_TAG, "a")
-                .field("v", 1u64),
-        );
-        t.insert(
-            DataPoint::new("m", 2)
-                .tag(TRACE_ID_TAG, "b")
-                .field("v", 2u64),
-        );
-        t.insert(
-            DataPoint::new("m", 3)
-                .tag(TRACE_ID_TAG, "a")
-                .field("v", 3u64),
-        );
-        t.insert(DataPoint::new("m", 4).field("v", 4u64)); // no id
-        assert_eq!(t.len(), 4);
-        let a: Vec<u64> = t.by_trace_id("a").iter().map(Entry::timestamp_ns).collect();
-        assert_eq!(a, vec![1, 3]);
-        assert!(t.by_trace_id("zzz").is_empty());
-        assert_eq!(t.trace_ids(), vec!["a".to_owned(), "b".to_owned()]);
+    fn trace_keys_read_canonical_hex_as_numbers() {
+        assert_eq!(TraceKey::parse("000000ab"), TraceKey::Id(0xab));
+        assert_eq!(TraceKey::parse("ab"), TraceKey::Tag("ab"));
+        assert_eq!(TraceKey::parse("000000AB"), TraceKey::Tag("000000AB"));
+        assert_eq!(TraceKey::parse("+00000ab"), TraceKey::Tag("+00000ab"));
+        assert_eq!(TraceKey::Id(0xab).to_string(), "000000ab");
+        assert_eq!(TraceKey::Tag("lost").to_string(), "lost");
     }
 
     #[test]
     fn empty_table() {
         let t = Table::new("m");
-        assert!(t.is_empty());
-        assert!(t.entries().is_empty());
+        assert_eq!(t.len(), 0);
+        assert!(t.seq_entries().is_empty());
         assert!(t.shards().is_empty());
     }
 
@@ -399,8 +408,7 @@ mod tests {
         assert_eq!(t.shards().len(), 2, "one shard per node");
         assert_eq!(t.shards()[0].node_name(), "n1");
         assert_eq!(t.shards()[0].len(), 3);
-        let stamps: Vec<u64> = t.entries().iter().map(Entry::timestamp_ns).collect();
-        assert_eq!(stamps, vec![5, 10, 20, 30, 40], "insertion order");
+        assert_eq!(stamps(&t), vec![5, 10, 20, 30, 40], "insertion order");
     }
 
     #[test]
@@ -409,8 +417,13 @@ mod tests {
         let n1 = syms.intern("server1");
         let mut t = Table::new("m");
         t.insert_records(n1, "server1", &[rec(10, 0xab)]);
-        let entries = t.entries();
-        let e = &entries[0];
+        t.insert(
+            DataPoint::new("m", 20)
+                .tag(TRACE_ID_TAG, "000000ab")
+                .tag("flow", "10.0.0.1:1->10.0.0.2:2"),
+        );
+        let entries = t.seq_entries();
+        let (e, p) = (&entries[0].1, &entries[1].1);
         assert_eq!(e.measurement(), "m");
         assert_eq!(e.tag("node").as_deref(), Some("server1"));
         assert_eq!(e.tag(TRACE_ID_TAG).as_deref(), Some("000000ab"));
@@ -420,9 +433,18 @@ mod tests {
         assert_eq!(e.field_u64("absent"), None);
         // Materialization matches the compact record's own view.
         assert_eq!(e.to_point(), rec(10, 0xab).to_point("m", "server1"));
-        // The hex index finds it; a non-padded ID does not.
-        assert_eq!(t.by_trace_id("000000ab").len(), 1);
-        assert!(t.by_trace_id("ab").is_empty());
-        assert_eq!(t.trace_ids(), vec!["000000ab".to_owned()]);
+        // Typed keys render to the tags and match across the two forms.
+        assert_eq!(e.trace_key(), Some(TraceKey::Id(0xab)));
+        assert_eq!(e.trace_key(), p.trace_key());
+        assert_eq!(e.flow_key().unwrap().to_string(), e.tag("flow").unwrap());
+        assert_eq!(p.flow_key(), Some(FlowKey::Tag("10.0.0.1:1->10.0.0.2:2")));
+        let untraced = CompactRecord::default();
+        let u = Entry::Record {
+            measurement: "m",
+            node: "n",
+            record: &untraced,
+        };
+        assert_eq!(u.trace_key(), None);
+        assert_eq!(u.tag(TRACE_ID_TAG), None);
     }
 }

@@ -118,14 +118,8 @@ fn disk_and_memory_agree_on_every_query_shape() {
             "disk and memory disagree"
         );
     }
-    // run() on the memory DB equals scan() on the disk DB too.
-    for q in query_shapes() {
-        let run: Vec<String> = q
-            .run(&mem)
-            .iter()
-            .map(|e| serde_json::to_string(&e.to_point()).unwrap())
-            .collect();
-        assert_eq!(run, answers(&q, &disk));
+    for m in ["tp_rx", "tp_tx", "tp_drop"] {
+        assert_eq!(mem.count(m), disk.count(m), "footer count of {m}");
     }
     assert_eq!(
         mem.join_timestamps("tp_rx", "tp_tx"),

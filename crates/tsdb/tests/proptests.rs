@@ -1,8 +1,10 @@
 //! Property-based tests for the trace store and its aggregations.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use vnet_tsdb::query::{aggregate, percentile, Query};
-use vnet_tsdb::{CompactRecord, DataPoint, RecordBatch, TraceDb, TRACE_ID_TAG};
+use vnet_tsdb::{CompactRecord, DataPoint, RecordBatch, ScanResult, TraceDb, TRACE_ID_TAG};
 
 prop_compose! {
     fn arb_record()(
@@ -24,6 +26,13 @@ prop_compose! {
     }
 }
 
+/// The distinct trace IDs a scan saw, sorted.
+fn trace_ids(scan: &ScanResult) -> BTreeSet<String> {
+    scan.iter()
+        .filter_map(|e| e.tag(TRACE_ID_TAG).map(|t| t.into_owned()))
+        .collect()
+}
+
 proptest! {
     /// Percentiles are order statistics: within [min, max], monotone in q.
     #[test]
@@ -32,7 +41,8 @@ proptest! {
         for (i, v) in values.iter().enumerate() {
             db.insert(DataPoint::new("m", i as u64).field("v", *v));
         }
-        let pts = Query::new("m").run(&db);
+        let scan = Query::new("m").scan(&db).unwrap();
+        let pts = scan.entries();
         let p50 = percentile(&pts, "v", 0.5).unwrap();
         let p99 = percentile(&pts, "v", 0.99).unwrap();
         let p0 = percentile(&pts, "v", 0.0).unwrap();
@@ -54,7 +64,8 @@ proptest! {
         for (i, v) in values.iter().enumerate() {
             db.insert(DataPoint::new("m", i as u64).field("v", *v));
         }
-        let pts = Query::new("m").run(&db);
+        let scan = Query::new("m").scan(&db).unwrap();
+        let pts = scan.entries();
         let agg = aggregate(&pts, "v");
         prop_assert_eq!(agg.count, values.len());
         prop_assert!((agg.mean - agg.sum / agg.count as f64).abs() < 1e-9);
@@ -74,7 +85,7 @@ proptest! {
         for t in &stamps {
             db.insert(DataPoint::new("m", *t));
         }
-        let inside = Query::new("m").time_range(lo, hi).run(&db);
+        let inside = Query::new("m").time_range(lo, hi).scan(&db).unwrap();
         let expected: Vec<u64> =
             stamps.iter().copied().filter(|t| (lo..=hi).contains(t)).collect();
         let got: Vec<u64> = inside.iter().map(|e| e.timestamp_ns()).collect();
@@ -135,21 +146,16 @@ proptest! {
         prop_assert_eq!(n as usize, routed.len());
         prop_assert_eq!(batched.len(), single.len());
         for t in table_names {
-            match (batched.table(t), single.table(t)) {
-                (None, None) => {}
-                (Some(b), Some(s)) => {
-                    prop_assert_eq!(b.trace_ids(), s.trace_ids());
-                    for node in node_names {
-                        let filter = Query::new(t).tag_eq("node", node);
-                        let bp: Vec<DataPoint> =
-                            filter.run_table(b).iter().map(|e| e.to_point()).collect();
-                        let sp: Vec<DataPoint> =
-                            filter.run_table(s).iter().map(|e| e.to_point()).collect();
-                        prop_assert_eq!(bp, sp, "stream ({}, {}) diverged", t, node);
-                    }
-                }
-                (b, s) => prop_assert!(false, "table presence differs: {:?} vs {:?}",
-                                       b.is_some(), s.is_some()),
+            let (b, s) = (Query::new(t).scan(&batched).unwrap(), Query::new(t).scan(&single).unwrap());
+            prop_assert_eq!(batched.count(t), single.count(t));
+            prop_assert_eq!(trace_ids(&b), trace_ids(&s));
+            for node in node_names {
+                let filter = Query::new(t).tag_eq("node", node);
+                let bp: Vec<DataPoint> =
+                    filter.scan(&batched).unwrap().iter().map(|e| e.to_point()).collect();
+                let sp: Vec<DataPoint> =
+                    filter.scan(&single).unwrap().iter().map(|e| e.to_point()).collect();
+                prop_assert_eq!(bp, sp, "stream ({}, {}) diverged", t, node);
             }
         }
     }

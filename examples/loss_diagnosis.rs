@@ -52,9 +52,8 @@ fn congestion() {
         .expect("drop scripts deploy");
     s.run(&cfg);
     tracer.collect(&s.world);
-    let all = tracer.db().table("drops_all").map_or(0, |t| t.len()) as u64
-        + tracer.lost_records("drops_all");
-    let sockperf = tracer.db().table("drops_sockperf").map_or(0, |t| t.len());
+    let all = tracer.db().count("drops_all") as u64 + tracer.lost_records("drops_all");
+    let sockperf = tracer.db().count("drops_sockperf");
     println!("kfree_skb fired {all} times (incl. perf-ring overflow accounting)");
     println!("of which {sockperf} were latency-probe packets — the congested ingress");
     println!("queue is shared, so the bulk flow's overload takes probes with it.\n");
@@ -85,7 +84,7 @@ fn failure() {
     let chain = ["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"];
     println!("records per tracepoint along the request path:");
     for tp in chain {
-        let n = tracer.db().table(tp).map_or(0, |t| t.len());
+        let n = tracer.db().count(tp);
         println!("  {tp:<12} {n}");
     }
     let loss = tracer.packet_loss("s1_ovs_br1", "s2_ovs_br1");

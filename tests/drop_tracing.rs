@@ -58,7 +58,7 @@ fn kfree_skb_script_counts_congestion_drops() {
     // Congestion drops tens of thousands of packets; a 64 KiB perf
     // buffer holds 2048 records between collections, so the surplus is
     // counted as lost (§III-C: size buffers for the collection cadence).
-    let traced_all = tracer.db().table("drops_all").map_or(0, |t| t.len()) as u64;
+    let traced_all = tracer.db().count("drops_all") as u64;
     let lost = tracer.lost_records("drops_all");
     assert_eq!(traced_all + lost, true_drops, "every drop fires kfree_skb");
     assert_eq!(
@@ -68,7 +68,7 @@ fn kfree_skb_script_counts_congestion_drops() {
 
     // The filtered script isolates the sockperf victims, and its count
     // matches the app-level outcome (requests without replies).
-    let traced_sock = tracer.db().table("drops_sockperf").map_or(0, |t| t.len()) as u64;
+    let traced_sock = tracer.db().count("drops_sockperf") as u64;
     let replies = s.latency.lock().unwrap().samples().len() as u64;
     assert_eq!(traced_sock, 200 - replies);
     assert!(traced_sock > 0, "congestion must hit the probe flow too");
@@ -93,7 +93,7 @@ fn policer_drops_are_traceable_too() {
     let vnet0 = s.world.find_device(s.host, "vnet0").unwrap();
     let policed = s.world.device_counters(vnet0).dropped_policed;
     assert!(policed > 0);
-    let traced = tracer.db().table("drops_all").map_or(0, |t| t.len()) as u64;
+    let traced = tracer.db().count("drops_all") as u64;
     let lost = tracer.lost_records("drops_all");
     let ovs = s.world.find_device(s.host, "ovs-br").unwrap();
     let all_true = s.world.device_counters(vnet0).dropped_total()

@@ -20,7 +20,7 @@ fn snapshot(tracer: &vnettracer::VNetTracer, world: &vnet_sim::World, chain: &[&
     let mut names: Vec<&str> = tracer.db().measurements().collect();
     names.sort_unstable();
     for name in &names {
-        let len = tracer.db().table(name).map_or(0, |t| t.len());
+        let len = tracer.db().count(name);
         let bps = metrics::throughput_at(tracer.db(), name);
         out.push_str(&format!("table {name}: {len} records, {bps:.0} bps\n"));
     }

@@ -53,17 +53,9 @@ fn ovs_lookups_and_upcalls_are_traced() {
     lab.run();
     tracer.collect(&lab.world);
 
-    let lookups = tracer
-        .db()
-        .table("lab_ovs_lookup")
-        .expect("lookup table exists")
-        .len();
+    let lookups = tracer.db().count("lab_ovs_lookup");
     assert!(lookups > 0, "fabric lane must record flow-table lookups");
-    let upcalls = tracer
-        .db()
-        .table("lab_ovs_upcall")
-        .expect("upcall table exists")
-        .len();
+    let upcalls = tracer.db().count("lab_ovs_upcall");
     assert!(upcalls >= 1, "first cold lookup must raise an upcall");
     assert!(
         upcalls < lookups,

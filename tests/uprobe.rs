@@ -10,6 +10,7 @@ use vnet_sim::node::NodeClock;
 use vnet_sim::packet::FlowKey;
 use vnet_sim::time::{SimDuration, SimTime};
 use vnet_sim::world::World;
+use vnet_tsdb::Query;
 use vnet_workloads::stats::LatencyRecorder;
 use vnet_workloads::{SockperfClient, SockperfServer};
 use vnettracer::config::{Action, ControlPackage, FilterRule, HookSpec, TraceSpec};
@@ -93,9 +94,9 @@ fn uprobe_traces_application_deliveries() {
     w.run_until(SimTime::from_millis(20));
     tracer.collect(&w);
 
-    let uprobe_table = tracer.db().table("server_uprobe").expect("uprobe records");
+    let uprobe_table = Query::new("server_uprobe").scan(tracer.db()).unwrap();
     assert_eq!(uprobe_table.len(), 50, "one firing per delivered request");
-    let kernel_table = tracer.db().table("kernel_rx").expect("kernel records");
+    let kernel_table = Query::new("kernel_rx").scan(tracer.db()).unwrap();
     assert_eq!(kernel_table.len(), 50);
     // The uprobe sees the request after kernel processing: its timestamps
     // trail the kernel tap by the stack service time (3us).
