@@ -1,26 +1,19 @@
-//! Execution-tier comparison: the threaded-code tier versus the
-//! interpreter on the standard trace programs the dispatcher compiles
-//! (filter + record, filter miss, and a counter workload), plus the
-//! one-time compile cost.
+//! Execution-tier comparison: the threaded-code tier every probe runs on
+//! versus the all-checks reference interpreter, on the standard trace
+//! programs the dispatcher compiles (filter + record, filter miss, and a
+//! counter workload), plus the cost of the lowering pass itself.
 //!
 //! The headline claim this backs: on the hot match-and-record path the
 //! pre-decoded tier runs the same program at least 2x faster than the
 //! instruction-at-a-time interpreter, because decode, jump resolution
-//! and helper lookup have been paid once at load time and the common
+//! and helper lookup have been paid once at load time, the common
 //! load/compare/branch and map-lookup/null-check sequences dispatch as
-//! single fused ops. The `jit_noelide` arm runs the same threaded code
-//! with verifier-proved check elision disabled, isolating what the
-//! abstract-interpretation facts buy on top of lowering and fusion.
-//!
-//! The `interp_raw`/`jit_raw` arms run the same program with the
-//! load-time optimizer disabled (`LoadOpts { optimize: false }`), so the
-//! delta against `interp`/`jit` is what the static-analysis rewrite
-//! pipeline buys on the standard trace programs. Each group also prints
-//! a headline line with the instruction count and certified worst-case
-//! cost before and after optimization.
+//! single fused ops, and verifier-proved checks are elided. Each group
+//! also prints a headline line with the program's instruction count and
+//! certified worst-case cost.
 //!
 //! Set `VNT_BENCH_FAST=1` for a smoke run (CI): minimal sample count,
-//! no timing claims — it only proves both tiers compile and run.
+//! no timing claims — it only proves both engines compile and run.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
@@ -28,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::map::{MapDef, MapRegistry};
-use vnet_ebpf::program::{load, load_with_opts, LoadOpts};
+use vnet_ebpf::program::load;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 use vnet_sim::packet::{trace_id, FlowKey, PacketBuilder};
 use vnettracer::compile::compile;
@@ -41,15 +34,8 @@ fn udp_flow() -> FlowKey {
     )
 }
 
-/// Compiles one of the dispatcher's standard trace scripts, loaded both
-/// optimized (the default) and raw.
-fn script(
-    action: Action,
-) -> (
-    vnet_ebpf::LoadedProgram,
-    vnet_ebpf::LoadedProgram,
-    MapRegistry,
-) {
+/// Compiles and loads one of the dispatcher's standard trace scripts.
+fn script(action: Action) -> (vnet_ebpf::LoadedProgram, MapRegistry) {
     let mut maps = MapRegistry::new();
     let perf_fd = maps.create(MapDef::perf(65536), 1).unwrap();
     let counter_fd = maps.create(MapDef::per_cpu_array(8, 16), 4).unwrap();
@@ -64,14 +50,7 @@ fn script(
         action,
     };
     let prog = compile(&spec, Some(perf_fd), Some(counter_fd)).unwrap();
-    let raw = load_with_opts(
-        prog.clone(),
-        &maps,
-        &standard_helpers(),
-        &LoadOpts { optimize: false },
-    )
-    .unwrap();
-    (load(prog, &maps, &standard_helpers()).unwrap(), raw, maps)
+    (load(prog, &maps, &standard_helpers()).unwrap(), maps)
 }
 
 fn sample_size() -> usize {
@@ -89,13 +68,10 @@ fn sample_size() -> usize {
 /// is identical in both arms.
 fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
     let drains_ring = matches!(action, Action::RecordPacketInfo);
-    let (loaded, raw, mut maps) = script(action);
-    // Headline: what the load-time rewrite pipeline bought on this program.
+    let (loaded, mut maps) = script(action);
     println!(
-        "{group}: optimizer {} -> {} insns, certified worst case {} -> {} ns",
-        raw.insns().len(),
+        "{group}: {} insns, certified worst case {} ns",
         loaded.insns().len(),
-        raw.certificate().worst_case_ns,
         loaded.certificate().worst_case_ns,
     );
     let flow = if matching {
@@ -138,46 +114,6 @@ fn bench_pair(c: &mut Criterion, group: &str, action: Action, matching: bool) {
             out.ret
         })
     });
-    // The same program with verifier-proved check elision disabled — the
-    // runtime-checked threaded code the elision arm must at least match.
-    let checked =
-        vnet_ebpf::jit::compile_with(&loaded, vnet_ebpf::jit::CompileOpts { elide: false });
-    g.bench_function("jit_noelide", |b| {
-        b.iter(|| {
-            let out = checked
-                .execute(black_box(&ctx), pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
-    // The unoptimized program on both tiers: the delta against
-    // `interp`/`jit` is what the static rewrite pipeline buys.
-    g.bench_function("interp_raw", |b| {
-        b.iter(|| {
-            let out = vm
-                .execute(black_box(&raw), &ctx, pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
-    let compiled_raw = vnet_ebpf::jit::compile(&raw);
-    g.bench_function("jit_raw", |b| {
-        b.iter(|| {
-            let out = compiled_raw
-                .execute(black_box(&ctx), pkt.bytes(), &mut maps, &mut env)
-                .unwrap();
-            if drains_ring && out.ret == 1 {
-                drained += maps.get_mut(0).unwrap().perf_drain_with(0, |_| {});
-            }
-            out.ret
-        })
-    });
     black_box(drained);
     g.finish();
 }
@@ -196,7 +132,7 @@ fn bench_counter(c: &mut Criterion) {
 
 /// The price of admission: one ahead-of-time lowering pass per program.
 fn bench_compile_once(c: &mut Criterion) {
-    let (loaded, _raw, _maps) = script(Action::RecordPacketInfo);
+    let (loaded, _maps) = script(Action::RecordPacketInfo);
     let mut g = c.benchmark_group("lowering");
     g.sample_size(sample_size());
     g.bench_function("compile", |b| {

@@ -14,13 +14,13 @@ use vnet_ebpf::context::TraceContext;
 use vnet_ebpf::jit::CompiledProgram;
 use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::program::LoadedProgram;
-use vnet_ebpf::vm::{jit_compile_cost_ns, standard_helpers, Vm, VmEnv, PROBE_BASE_COST_NS};
+use vnet_ebpf::vm::{jit_compile_cost_ns, standard_helpers, VmEnv, PROBE_BASE_COST_NS};
 use vnet_sim::ids::NodeId;
 use vnet_sim::probe::{Direction, ProbeEvent, ProbeId, ProbeOutcome, ProbeSink};
 use vnet_sim::time::SimDuration;
 use vnet_sim::world::World;
 
-use crate::config::{Action, CollectionMode, ExecTier, GlobalConfig, TraceSpec};
+use crate::config::{Action, CollectionMode, GlobalConfig, TraceSpec};
 use crate::error::{Result, TracerError};
 use crate::record::{TraceRecord, RECORD_SIZE};
 
@@ -42,30 +42,27 @@ pub struct ScriptStats {
     /// the one-time compile cost and per-record ship cost
     /// (`run_time_ns`).
     pub run_time_ns: u64,
-    /// Original instructions retired across all runs (tier-independent:
-    /// both tiers retire the same count for the same inputs).
+    /// Original instructions retired across all runs.
     pub insns_retired: u64,
-    /// Ops dispatched across all runs: equals `insns_retired` on the
-    /// interpreter, less on the threaded tier where fused ops retire
-    /// several instructions each.
+    /// Threaded-code ops dispatched across all runs: fewer than
+    /// `insns_retired`, since fused ops retire several instructions
+    /// each.
     pub ops_executed: u64,
-    /// Fused-op executions on the threaded tier (0 on the interpreter).
+    /// Fused-op executions.
     pub fused_hits: u64,
     /// Runtime checks skipped across all runs because the verifier's
     /// abstract interpretation proved them redundant — bounds checks,
-    /// region dispatches and decided branches on the threaded tier,
-    /// divisor zero-tests on both tiers.
+    /// region dispatches, divisor zero-tests and decided branches.
     pub checks_elided: u64,
     /// The program's certified worst-case cost per firing in simulated
     /// nanoseconds, probe entry included — the static bound from
     /// [`vnet_ebpf::cost::certify`] that [`Self::avg_run_ns`] can never
     /// exceed. Constant for the script's lifetime.
     pub certified_cost_ns: u64,
-    /// Instructions the load-time optimizer removed from the program
-    /// (0 when loaded without optimization).
+    /// Instructions removed from the program at load time. Loading no
+    /// longer rewrites programs, so this is always 0; the field stays
+    /// for readers of the run statistics.
     pub insns_eliminated: u64,
-    /// The tier this script executes on.
-    pub tier: ExecTier,
 }
 
 impl ScriptStats {
@@ -84,26 +81,16 @@ impl ScriptStats {
 /// (§III-C).
 pub const ONLINE_SHIP_COST_NS: u64 = 1_500;
 
-/// The execution engine behind a probe: the interpreter re-decodes
-/// bytecode every firing; the threaded tier runs the pre-compiled form,
-/// paying a one-time compile cost on its first firing.
-enum Engine {
-    Interp(Vm),
-    Jit {
-        compiled: CompiledProgram,
-        /// Compile cost not yet charged; taken (zeroed) on first run.
-        pending_compile_ns: u64,
-    },
-}
-
 /// The [`ProbeSink`] wrapper that runs a loaded eBPF program each time
-/// its hook fires, charging the simulated CPU cost of the execution back
-/// to the packet being processed — the mechanism behind the overhead
-/// measurements of Fig. 7.
+/// its hook fires, on the threaded-code tier, charging the simulated CPU
+/// cost of the execution back to the packet being processed — the
+/// mechanism behind the overhead measurements of Fig. 7.
 pub struct EbpfProbeSink {
-    program: LoadedProgram,
     maps: Arc<Mutex<MapRegistry>>,
-    engine: Engine,
+    compiled: CompiledProgram,
+    /// The one-time compile cost, not yet charged; taken (zeroed) by the
+    /// first firing.
+    pending_compile_ns: u64,
     stats: ScriptStats,
     prandom_state: u64,
     per_match_extra_ns: u64,
@@ -113,27 +100,17 @@ impl EbpfProbeSink {
     fn new(
         loaded: LoadedProgram,
         maps: Arc<Mutex<MapRegistry>>,
-        tier: ExecTier,
         prandom_state: u64,
         per_match_extra_ns: u64,
     ) -> Self {
-        let engine = match tier {
-            ExecTier::Interp => Engine::Interp(Vm::new()),
-            ExecTier::Jit => Engine::Jit {
-                compiled: vnet_ebpf::jit::compile(&loaded),
-                pending_compile_ns: jit_compile_cost_ns(loaded.insns().len()),
-            },
-        };
         let stats = ScriptStats {
-            tier,
             certified_cost_ns: PROBE_BASE_COST_NS + loaded.certificate().worst_case_ns,
-            insns_eliminated: loaded.opt_stats().insns_eliminated() as u64,
             ..ScriptStats::default()
         };
         EbpfProbeSink {
-            program: loaded,
+            compiled: vnet_ebpf::jit::compile(&loaded),
+            pending_compile_ns: jit_compile_cost_ns(loaded.insns().len()),
             maps,
-            engine,
             stats,
             prandom_state,
             per_match_extra_ns,
@@ -144,7 +121,7 @@ impl EbpfProbeSink {
 impl std::fmt::Debug for EbpfProbeSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EbpfProbeSink")
-            .field("program", &self.program.name())
+            .field("program", &self.compiled.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -195,58 +172,31 @@ impl ProbeSink for EbpfProbeSink {
             prandom_state: &mut self.prandom_state,
         };
         let mut maps = self.maps.lock().unwrap();
-        // (return value, execution cost, one-time extra) per tier; both
-        // tiers produce identical results, side effects and per-path
-        // costs (fused ops charge the sum of their components) — they
-        // differ only in the one-time compile charge. The charged cost
-        // is the path's toll under the shared table in `vnet_ebpf::cost`
-        // and is bounded by the program's certificate, so a script that
-        // passed the probe-budget check can never exceed its budget
-        // here. Aborts charge the probe entry only.
-        let (result, one_time_ns) = match &mut self.engine {
-            Engine::Interp(vm) => (
-                vm.execute(&self.program, &ctx, pkt, &mut maps, &mut env)
-                    .map(|out| {
-                        self.stats.insns_retired += out.insns_executed;
-                        self.stats.ops_executed += out.insns_executed;
-                        self.stats.checks_elided += out.checks_elided;
-                        (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
-                    })
-                    .map_err(|_| PROBE_BASE_COST_NS),
-                0,
-            ),
-            Engine::Jit {
-                compiled,
-                pending_compile_ns,
-            } => (
-                compiled
-                    .execute(&ctx, pkt, &mut maps, &mut env)
-                    .map(|out| {
-                        self.stats.insns_retired += out.insns_retired;
-                        self.stats.ops_executed += out.ops_executed;
-                        self.stats.fused_hits += out.fused_hits;
-                        self.stats.checks_elided += out.checks_elided;
-                        (out.ret, PROBE_BASE_COST_NS + out.cost_ns)
-                    })
-                    .map_err(|_| PROBE_BASE_COST_NS),
-                // First firing pays the compile.
-                std::mem::take(pending_compile_ns),
-            ),
-        };
-        match result {
-            Ok((ret, exec_ns)) => {
+        // The charged cost is the path's toll under the shared table in
+        // `vnet_ebpf::cost` and is bounded by the program's certificate,
+        // so a script that passed the probe-budget check can never
+        // exceed its budget here. Aborts charge the probe entry only.
+        // The first firing also pays the compile.
+        let one_time_ns = std::mem::take(&mut self.pending_compile_ns);
+        match self.compiled.execute(&ctx, pkt, &mut maps, &mut env) {
+            Ok(out) => {
+                let exec_ns = PROBE_BASE_COST_NS + out.cost_ns;
                 self.stats.executions += 1;
                 self.stats.run_time_ns += exec_ns;
+                self.stats.insns_retired += out.insns_retired;
+                self.stats.ops_executed += out.ops_executed;
+                self.stats.fused_hits += out.fused_hits;
+                self.stats.checks_elided += out.checks_elided;
                 let mut cost = exec_ns + one_time_ns;
-                if ret == 1 {
+                if out.ret == 1 {
                     self.stats.matched += 1;
                     cost += self.per_match_extra_ns;
                 }
                 ProbeOutcome::with_cost(SimDuration::from_nanos(cost))
             }
-            Err(base_ns) => {
+            Err(_) => {
                 self.stats.errors += 1;
-                ProbeOutcome::with_cost(SimDuration::from_nanos(base_ns + one_time_ns))
+                ProbeOutcome::with_cost(SimDuration::from_nanos(PROBE_BASE_COST_NS + one_time_ns))
             }
         }
     }
@@ -361,9 +311,8 @@ impl Agent {
     }
 
     /// Like [`Agent::install`], taking the full global configuration:
-    /// collection mode (online shipping costs per-match CPU) and
-    /// execution tier (the threaded tier pays a one-time compile cost on
-    /// the script's first firing, then a reduced per-op cost).
+    /// collection mode (online shipping costs per-match CPU) and probe
+    /// budget (see [`Agent::install_raw_with_config`]).
     ///
     /// # Errors
     ///
@@ -407,7 +356,6 @@ impl Agent {
         let sink = Arc::new(Mutex::new(EbpfProbeSink::new(
             loaded,
             Arc::clone(&self.maps),
-            global.exec_tier,
             0x5eed ^ self.next_id,
             per_match_extra_ns,
         )));
@@ -446,8 +394,8 @@ impl Agent {
     }
 
     /// Like [`Agent::install_raw`], taking the full global configuration:
-    /// the program runs on the configured execution tier and — when
-    /// [`GlobalConfig::probe_budget`] is set — is rejected with
+    /// when [`GlobalConfig::probe_budget`] is set, the program is
+    /// rejected with
     /// [`TracerError::OverBudget`] if its certified worst-case cost
     /// exceeds the budget.
     ///
@@ -471,7 +419,6 @@ impl Agent {
         let sink = Arc::new(Mutex::new(EbpfProbeSink::new(
             loaded,
             Arc::clone(&self.maps),
-            global.exec_tier,
             0x5eed ^ self.next_id,
             0,
         )));
@@ -800,7 +747,6 @@ mod tests {
             stats.avg_run_ns(),
             stats.certified_cost_ns
         );
-        assert!(stats.insns_eliminated > 0, "optimizer shrank the filter");
     }
 
     #[test]

@@ -183,21 +183,6 @@ pub enum CollectionMode {
     Online,
 }
 
-/// Which execution tier agents run trace programs on (the paper's §II:
-/// "the JIT compiling minimizes the execution overhead of the eBPF
-/// code").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecTier {
-    /// The bytecode interpreter: no compile cost, full per-instruction
-    /// decode cost on every probe firing.
-    Interp,
-    /// The threaded-code tier: a one-time compile cost on a program's
-    /// first firing, reduced per-op cost afterwards — the default, as
-    /// in the kernel.
-    #[default]
-    Jit,
-}
-
 /// Global configuration carried in every control package.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GlobalConfig {
@@ -208,8 +193,6 @@ pub struct GlobalConfig {
     pub buffer_size: u32,
     /// Collection mode.
     pub mode: CollectionMode,
-    /// Execution tier for the deployed trace programs.
-    pub exec_tier: ExecTier,
     /// Maximum certified worst-case cost (in simulated nanoseconds,
     /// including the fixed probe-entry cost) a deployed program may have
     /// per firing. Programs whose static cost certificate exceeds this
@@ -226,15 +209,14 @@ impl Default for GlobalConfig {
             database: "vnettracer".into(),
             buffer_size: 64 * 1024,
             mode: CollectionMode::Offline,
-            exec_tier: ExecTier::Jit,
             probe_budget: None,
         }
     }
 }
 
 /// The tracer-facing name for the global configuration: what callers
-/// tune when deploying (buffering, collection mode, execution tier,
-/// probe overhead budget).
+/// tune when deploying (buffering, collection mode, probe overhead
+/// budget).
 pub type TracerConfig = GlobalConfig;
 
 /// A complete control package: global config plus trace scripts.
@@ -452,35 +434,12 @@ impl FromJson for CollectionMode {
     }
 }
 
-impl ToJson for ExecTier {
-    fn to_json(&self) -> Value {
-        Value::String(
-            match self {
-                ExecTier::Interp => "Interp",
-                ExecTier::Jit => "Jit",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromJson for ExecTier {
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        match value.as_str() {
-            Some("Interp") => Ok(ExecTier::Interp),
-            Some("Jit") => Ok(ExecTier::Jit),
-            _ => Err(JsonError::msg("unknown exec tier")),
-        }
-    }
-}
-
 impl ToJson for GlobalConfig {
     fn to_json(&self) -> Value {
         object([
             ("database", self.database.to_json()),
             ("buffer_size", self.buffer_size.to_json()),
             ("mode", self.mode.to_json()),
-            ("exec_tier", self.exec_tier.to_json()),
             ("probe_budget", self.probe_budget.to_json()),
         ])
     }
@@ -492,14 +451,9 @@ impl FromJson for GlobalConfig {
             database: member(value, "database")?,
             buffer_size: member(value, "buffer_size")?,
             mode: member(value, "mode")?,
-            // Absent in packages written before the tier existed: those
-            // get the default, keeping old JSON deployable.
-            exec_tier: match value.get("exec_tier") {
-                Some(v) => ExecTier::from_json(v)?,
-                None => ExecTier::default(),
-            },
-            // Same pattern: packages written before budgets existed
-            // parse as "no budget".
+            // Packages written before budgets existed parse as "no
+            // budget". Members this version no longer reads (such as the
+            // retired `exec_tier`) are ignored, so old JSON deploys.
             probe_budget: match value.get("probe_budget") {
                 Some(v) => Option::<u64>::from_json(v)?,
                 None => None,
@@ -592,24 +546,6 @@ mod tests {
         let g = GlobalConfig::default();
         assert_eq!(g.mode, CollectionMode::Offline);
         assert!(g.buffer_size as usize <= 128 * 1024 - 16);
-        assert_eq!(g.exec_tier, ExecTier::Jit);
-    }
-
-    #[test]
-    fn exec_tier_round_trips_and_defaults_when_absent() {
-        let mut pkg = ControlPackage::new(vec![sample_spec()]);
-        pkg.global.exec_tier = ExecTier::Interp;
-        let back = ControlPackage::from_json(&pkg.to_json()).unwrap();
-        assert_eq!(back.global.exec_tier, ExecTier::Interp);
-
-        // A pre-tier package (no exec_tier member) still parses, with
-        // the default tier.
-        let legacy = r#"{
-            "global": {"database": "db", "buffer_size": 4096, "mode": "Offline"},
-            "traces": []
-        }"#;
-        let parsed = ControlPackage::from_json(legacy).unwrap();
-        assert_eq!(parsed.global.exec_tier, ExecTier::Jit);
     }
 
     #[test]

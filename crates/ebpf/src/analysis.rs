@@ -401,8 +401,8 @@ pub struct InsnFact {
     pub mem: Option<MemFact>,
     /// For `div`/`mod` by register: the divisor is provably nonzero.
     /// Every *accepted* program has this on all register divisions — an
-    /// unprovable divisor is rejected — so both tiers may skip the zero
-    /// check.
+    /// unprovable divisor is rejected — so the threaded tier skips the
+    /// zero check.
     pub div_nonzero: bool,
     /// For conditional jumps decided statically.
     pub branch: Option<BranchFact>,

@@ -11,17 +11,17 @@
 //! * the agent rejects programs whose certified cost exceeds the
 //!   configured probe budget **before** attaching them;
 //! * the simulator charges the traced packet the per-path cost under
-//!   the same table (the interpreter per retired instruction, the
-//!   threaded tier per dispatched op), so the certificate is an upper
-//!   bound on what any firing can ever cost the system;
-//! * `vnt analyze` renders the per-instruction worst-case-to-here
-//!   column from the same artifact.
+//!   the same table (fused ops charge the sum of their components), so
+//!   the certificate is an upper bound on what any firing can ever cost
+//!   the system;
+//! * `vnt verify` renders the per-instruction worst-case-to-here column
+//!   from the same artifact.
 //!
 //! The table is deliberately coarse — dispatch-granularity integers, not
 //! measured nanoseconds — but it is *shared*: the certifier, the
 //! interpreter, the threaded tier and the simulator all charge from
 //! these constants, which is what makes "certified ≥ actual" a checked
-//! invariant rather than a hope (see the optimizer proptests).
+//! invariant rather than a hope (see the differential proptests).
 
 use crate::analysis::Analysis;
 use crate::insn::*;
@@ -110,7 +110,8 @@ impl CostCertificate {
 /// over all `exit` instructions. `analysis` is only consulted for
 /// reachability — statically dead instructions do not inflate the bound.
 /// Conditional branches keep both edges even when the analysis decided
-/// them: the bound must stay valid for the unoptimized runtime too.
+/// them: the bound must stay valid for the interpreter, which evaluates
+/// every compare.
 pub fn certify(insns: &[Insn], analysis: &Analysis) -> CostCertificate {
     if insns.is_empty() {
         return CostCertificate::empty();
@@ -306,13 +307,9 @@ mod tests {
             crate::program::AttachType::Kprobe("f".into()),
             insns,
         );
-        let loaded = crate::program::load_with_opts(
-            prog,
-            &crate::map::MapRegistry::new(),
-            &standard_helpers(),
-            &crate::program::LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded =
+            crate::program::load(prog, &crate::map::MapRegistry::new(), &standard_helpers())
+                .unwrap();
         let mut maps = crate::map::MapRegistry::new();
         let mut env = FixedEnv::default();
         let out = Vm::new()

@@ -1,11 +1,12 @@
-//! The threaded-code compilation tier.
+//! The threaded-code compilation tier — the engine every probe runs on.
 //!
 //! The paper attributes vNetTracer's low overhead to the kernel's JIT
 //! (§II: "the JIT compiling minimizes the execution overhead of the eBPF
 //! code"). This module is the simulator's equivalent: it lowers a
 //! verified [`LoadedProgram`] once, into a dense array of pre-decoded
 //! typed ops, and then executes that instead of re-decoding raw bytecode
-//! on every probe firing.
+//! on every probe firing. The simulator charges the compile's cost
+//! ([`crate::vm::jit_compile_cost_ns`]) to a program's first firing.
 //!
 //! What compilation buys, concretely:
 //!
@@ -29,9 +30,9 @@
 //!   (after the null check), nonzero register divisors and
 //!   statically-decided branches. Each proved site lowers to an
 //!   unchecked op (`LoadCtx`, `LoadStackDyn`, `LoadMapVal`, `DivReg`,
-//!   `Nop`/`JaElided` and store counterparts); [`compile_with`] can
-//!   switch the whole mechanism off, which the differential proptests
-//!   use to pin elided and checked executions against each other;
+//!   `Nop`/`JaElided` and store counterparts). The differential
+//!   proptests pin every elided execution against the all-checks
+//!   interpreter;
 //! * **fusion** — sequences the trace-program compiler emits constantly
 //!   become single ops: load(+byteswap)+compare-branch (filter field
 //!   checks), load(+byteswap)+store-to-stack (field extraction),
@@ -40,12 +41,12 @@
 //!   null-check (counter programs), runs of immediate stack stores
 //!   (key/scratch initialisation), and mov-imm-to-`r0`+`exit` returns.
 //!
-//! Execution semantics are bit-identical to the interpreter — same
-//! [`Memory`] address space, same map-value slot allocation order, same
-//! error values — which the differential proptests in
-//! `tests/proptests.rs` enforce. The two tiers differ only in speed and
-//! in the sim cost model ([`crate::vm::jit_execution_cost_ns`] plus the
-//! one-time [`crate::vm::jit_compile_cost_ns`]).
+//! Execution semantics are bit-identical to the reference interpreter
+//! ([`crate::vm::Vm`]) — same [`Memory`] address space, same map-value
+//! slot allocation order, same error values, same per-path `cost_ns` —
+//! which the differential proptests in `tests/proptests.rs` enforce.
+//! The two differ only in speed. A probe firing is charged
+//! [`crate::vm::PROBE_BASE_COST_NS`] plus [`JitOutcome::cost_ns`].
 
 use crate::analysis::{BranchFact, InsnFact, MemFact};
 use crate::context::TraceContext;
@@ -301,8 +302,8 @@ enum Op {
 pub struct JitOutcome {
     /// The program's return value (`r0` at exit).
     pub ret: u64,
-    /// Pre-decoded ops dispatched (drives
-    /// [`crate::vm::jit_execution_cost_ns`]).
+    /// Pre-decoded ops dispatched; fused ops retire several original
+    /// instructions per dispatch.
     pub ops_executed: u64,
     /// Original instructions retired — matches the interpreter's
     /// `insns_executed` for the same input, fused ops retiring several.
@@ -860,53 +861,24 @@ fn stack_idx(off: i16) -> u16 {
     (STACK_SIZE as i32 + i32::from(off)) as u16
 }
 
-/// Compilation options for [`compile_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct CompileOpts {
-    /// Lower verifier-proved facts to unchecked ops. On by default;
-    /// switching it off reproduces the purely syntactic tier (the
-    /// differential proptests run both and require identical behaviour).
-    pub elide: bool,
-}
-
-impl Default for CompileOpts {
-    fn default() -> Self {
-        CompileOpts { elide: true }
-    }
-}
-
-/// Lowers a verified program into threaded code with elision on — see
-/// [`compile_with`].
-pub fn compile(prog: &LoadedProgram) -> CompiledProgram {
-    compile_with(prog, CompileOpts::default())
-}
-
 /// Lowers a verified program into threaded code. Total: any instruction
 /// the tier cannot lower (impossible for verifier-accepted programs)
 /// becomes an [`Op::Abort`] that reproduces the interpreter's runtime
 /// error, so compilation itself never fails.
 ///
-/// With `opts.elide` set, each instruction carrying a fact from the
-/// program's [`Analysis`](crate::analysis::Analysis) lowers to an
-/// unchecked op; the per-instruction order is fuse first (fused ops are
-/// already past the dispatch the facts would elide, except for the
-/// context fast path folded into the load-carrying fusions), then fact
-/// lowering, then the generic op. `r10`-relative accesses keep the
-/// original syntactic lowering in both modes so the baseline tier is
-/// exactly the pre-analysis compiler.
-pub fn compile_with(prog: &LoadedProgram, opts: CompileOpts) -> CompiledProgram {
+/// Each instruction carrying a fact from the program's
+/// [`Analysis`](crate::analysis::Analysis) lowers to an unchecked op; the
+/// per-instruction order is fuse first (fused ops are already past the
+/// dispatch the facts would elide, except for the context fast path
+/// folded into the load-carrying fusions), then fact lowering, then the
+/// generic op. `r10`-relative accesses keep the syntactic lowering,
+/// which already indexes the stack directly.
+pub fn compile(prog: &LoadedProgram) -> CompiledProgram {
     let insns = prog.insns();
     let targets = jump_targets(insns);
     let all_facts = prog.analysis().facts();
-    // Per-pc fact under the current options: default (no fact) when
-    // elision is off or the analysis carries none for this pc.
-    let fact = |pc: usize| -> InsnFact {
-        if opts.elide {
-            all_facts.get(pc).copied().unwrap_or_default()
-        } else {
-            InsnFact::default()
-        }
-    };
+    // Per-pc fact: default (no fact) where the analysis carries none.
+    let fact = |pc: usize| -> InsnFact { all_facts.get(pc).copied().unwrap_or_default() };
 
     let mut ops: Vec<Op> = Vec::with_capacity(insns.len());
     let mut stores: Vec<StackStore> = Vec::new();
@@ -1509,7 +1481,7 @@ mod tests {
     use super::*;
     use crate::asm::{reg::*, Asm, Cond, Size};
     use crate::map::MapDef;
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
     use crate::vm::{standard_helpers, FixedEnv, Vm};
 
     fn compile_asm(asm: Asm, maps: &MapRegistry) -> CompiledProgram {
@@ -1518,13 +1490,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("verifies");
+        let loaded = load(prog, maps, &standard_helpers()).expect("verifies");
         compile(&loaded)
     }
 
@@ -1535,13 +1501,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("verifies");
+        let loaded = load(prog, &maps, &standard_helpers()).expect("verifies");
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1674,13 +1634,7 @@ mod tests {
             AttachType::Kprobe("f".into()),
             asm.build().unwrap(),
         );
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let compiled = compile(&loaded);
         assert!(compiled.fused_op_count() >= 1, "lookup+null should fuse");
 
@@ -1715,13 +1669,7 @@ mod tests {
         let asm = Asm::new().mov64_imm(R1, 0).ldx(Size::DW, R0, R1, 0).exit();
         let maps = MapRegistry::new();
         let prog = Program::new("oob", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1760,28 +1708,24 @@ mod tests {
         let maps = MapRegistry::new();
         let asm = Asm::new().ldx(Size::DW, R0, R1, 0).exit();
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
-        let on = compile(&loaded);
-        let off = compile_with(&loaded, CompileOpts { elide: false });
-        assert!(on.elided_site_count() >= 1, "ctx load should be proven");
-        assert_eq!(off.elided_site_count(), 0);
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
+        let compiled = compile(&loaded);
+        assert!(
+            compiled.elided_site_count() >= 1,
+            "ctx load should be proven"
+        );
 
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
         let mut env = FixedEnv::default();
-        let a = on.execute(&ctx, &[], &mut m1, &mut env).unwrap();
-        let b = off.execute(&ctx, &[], &mut m2, &mut env).unwrap();
-        assert!(a.checks_elided >= 1);
-        assert_eq!(b.checks_elided, 0);
-        assert_eq!(a.ret, b.ret);
-        assert_eq!(a.insns_retired, b.insns_retired);
+        let i = Vm::new()
+            .execute(&loaded, &ctx, &[], &mut m1, &mut env)
+            .unwrap();
+        let j = compiled.execute(&ctx, &[], &mut m2, &mut env).unwrap();
+        assert!(j.checks_elided >= 1);
+        assert_eq!(i.ret, j.ret);
+        assert_eq!(i.insns_executed, j.insns_retired);
     }
 
     #[test]
@@ -1816,10 +1760,10 @@ mod tests {
     }
 
     #[test]
-    fn proven_nonzero_divisor_skips_zero_check_in_both_tiers() {
+    fn proven_nonzero_divisor_skips_zero_check() {
         // `r2 = ctx[0] | 1` is nonzero by known bits, so the register
-        // division carries a div_nonzero fact and both tiers skip the
-        // runtime zero test.
+        // division carries a div_nonzero fact and the compiled tier skips
+        // the runtime zero test the interpreter keeps.
         let asm = Asm::new()
             .ldx(Size::DW, R2, R1, 0)
             .alu64_imm(crate::asm::AluOp::Or, R2, 1)
@@ -1828,13 +1772,7 @@ mod tests {
             .exit();
         let maps = MapRegistry::new();
         let prog = Program::new("d", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let ctx = TraceContext::default();
         let mut m1 = MapRegistry::new();
         let mut m2 = MapRegistry::new();
@@ -1842,7 +1780,6 @@ mod tests {
         let i = Vm::new()
             .execute(&loaded, &ctx, &[], &mut m1, &mut env)
             .unwrap();
-        assert!(i.checks_elided >= 1, "interp should skip the zero test");
         let j = compile(&loaded)
             .execute(&ctx, &[], &mut m2, &mut env)
             .unwrap();
@@ -1869,24 +1806,19 @@ mod tests {
             .mov64_imm(R0, 1)
             .exit();
         let prog = Program::new("m", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
-        let on = compile(&loaded);
-        let off = compile_with(&loaded, CompileOpts { elide: false });
-        assert!(on.elided_site_count() > off.elided_site_count());
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
+        let compiled = compile(&loaded);
+        assert!(compiled.elided_site_count() >= 1);
 
         let ctx = TraceContext::default();
         let mut env = FixedEnv::default();
         let mut maps2 = MapRegistry::new();
         assert_eq!(maps2.create(MapDef::array(8, 4), 1).unwrap(), fd);
-        let a = on.execute(&ctx, &[], &mut maps, &mut env).unwrap();
-        let b = off.execute(&ctx, &[], &mut maps2, &mut env).unwrap();
-        assert_eq!(a.ret, b.ret);
+        let i = Vm::new()
+            .execute(&loaded, &ctx, &[], &mut maps, &mut env)
+            .unwrap();
+        let a = compiled.execute(&ctx, &[], &mut maps2, &mut env).unwrap();
+        assert_eq!(i.ret, a.ret);
         assert_eq!(a.ret, 0, "array slot pre-zeroed, lookup hits");
         assert!(a.checks_elided >= 1, "value-size check should be elided");
     }

@@ -8,20 +8,18 @@
 //!   compiler;
 //! * [`verifier`] — static safety checks, including the 4096-instruction
 //!   limit the paper cites (§II) and loop rejection;
-//! * [`vm`] — the interpreter, with a per-instruction cost model that
-//!   feeds tracing overhead back into the simulated system;
-//! * [`jit`] — the threaded-code tier: programs pre-decoded once into
-//!   typed ops with resolved jumps, bound helper thunks and fused
-//!   sequences, the simulator's stand-in for the kernel's JIT (§II);
-//! * [`opt`] — the analysis-driven optimizer: constant/copy propagation,
-//!   branch folding, redundant-load elimination and dead-code/dead-store
-//!   removal over the verified CFG, with mandatory re-verification;
+//! * [`vm`] — the reference interpreter: every runtime check on, the
+//!   oracle the threaded tier is tested against;
+//! * [`jit`] — the threaded-code tier that runs every probe: programs
+//!   pre-decoded once into typed ops with resolved jumps, bound helper
+//!   thunks, fused sequences and verifier-proved check elision, the
+//!   simulator's stand-in for the kernel's JIT (§II);
 //! * [`cost`] — the shared static cost model and the longest-path
 //!   worst-case certificate every loaded program carries;
 //! * [`map`] — hash / array / per-CPU / perf-event maps (the perf buffer
 //!   honours the paper's 32 B..128 KiB−16 size constraint);
 //! * [`program`] — programs, attach types (kprobe, kretprobe, tracepoint,
-//!   raw socket, uprobe) and the loader with map-fd relocation;
+//!   raw socket, uprobe) and the loader (verify → certify → relocate);
 //! * [`context`] — the fixed-layout context handed to programs.
 //!
 //! ## Example
@@ -57,7 +55,6 @@ pub mod disasm;
 pub mod insn;
 pub mod jit;
 pub mod map;
-pub mod opt;
 pub mod parse;
 pub mod program;
 pub mod tnum;
@@ -71,10 +68,9 @@ pub use context::TraceContext;
 pub use cost::{certify, render_cost_report, CostCertificate};
 pub use disasm::disassemble;
 pub use insn::{Insn, MAX_INSNS};
-pub use jit::{compile, compile_with, CompileOpts, CompiledProgram, JitOutcome};
+pub use jit::{compile, CompiledProgram, JitOutcome};
 pub use map::{MapDef, MapRegistry, MapType};
-pub use opt::{optimize, OptResult, OptStats};
-pub use program::{load, load_with_opts, AttachType, LoadOpts, LoadedProgram, Program};
+pub use program::{load, AttachType, LoadedProgram, Program};
 pub use tnum::Tnum;
 pub use verifier::{verify, VerifyError};
 pub use vm::{standard_helpers, ExecOutcome, Vm, VmEnv, VmError};

@@ -1,4 +1,4 @@
-//! The in-kernel eBPF virtual machine (interpreter).
+//! The reference eBPF interpreter.
 //!
 //! Executes verified, relocated programs against a [`TraceContext`] and a
 //! read-only packet buffer. The VM emulates the kernel's flat address
@@ -7,10 +7,13 @@
 //! the kernel verifier's pointer tracking: an out-of-bounds access aborts
 //! the program, it can never touch anything else).
 //!
-//! The VM also exposes the *cost model* used to charge tracing overhead to
-//! the traced system: a fixed trampoline cost per probe firing plus a
-//! per-instruction cost, approximating a JIT-compiled program (§II: "the
-//! JIT compiling minimizes the execution overhead of the eBPF code").
+//! [`Vm`] keeps every runtime check on and uses none of the verifier's
+//! facts. Probes run on the threaded-code tier ([`crate::jit`]), as the
+//! kernel runs every program JIT-compiled; the interpreter is the oracle
+//! the differential tests hold that tier to. Both charge the same
+//! per-path cost from [`crate::cost`]; a probe firing costs
+//! [`PROBE_BASE_COST_NS`] plus that path cost, and a program's first
+//! firing also pays [`jit_compile_cost_ns`].
 
 use crate::context::{TraceContext, CTX_SIZE};
 use crate::insn::*;
@@ -28,16 +31,9 @@ pub(crate) const MAP_VAL_BASE: u64 = 0x0000_0000_4000_0000;
 pub(crate) const MAP_VAL_STRIDE: u64 = 1 << 20;
 
 /// Fixed cost of entering a probe (trampoline + register save), in
-/// simulated nanoseconds.
+/// simulated nanoseconds. A firing is charged this plus the path's
+/// `cost_ns`.
 pub const PROBE_BASE_COST_NS: u64 = 25;
-/// Cost per executed instruction, in simulated nanoseconds (JIT-compiled
-/// eBPF executes close to native speed).
-pub const COST_PER_INSN_NS: u64 = 1;
-
-/// The simulated CPU time an interpreted program execution consumes.
-pub fn execution_cost_ns(insns_executed: u64) -> u64 {
-    PROBE_BASE_COST_NS + insns_executed * COST_PER_INSN_NS
-}
 
 /// One-time cost, per original instruction, of lowering a program to the
 /// threaded-code tier (decode, jump resolution, helper binding). Charged
@@ -48,17 +44,6 @@ pub const JIT_COMPILE_COST_PER_INSN_NS: u64 = 12;
 /// `insn_count` instructions.
 pub fn jit_compile_cost_ns(insn_count: usize) -> u64 {
     insn_count as u64 * JIT_COMPILE_COST_PER_INSN_NS
-}
-
-/// The simulated CPU time a compiled (threaded-code) execution consumes.
-///
-/// The per-op constant matches [`COST_PER_INSN_NS`], but `ops_executed`
-/// counts *pre-decoded ops*, of which fused sequences (compare+branch,
-/// map-lookup + null check, stack-store runs) retire several original
-/// instructions each — so a compiled execution charges less than
-/// [`execution_cost_ns`] would for the same path.
-pub fn jit_execution_cost_ns(ops_executed: u64) -> u64 {
-    PROBE_BASE_COST_NS + ops_executed * COST_PER_INSN_NS
 }
 
 /// Helper function ids (matching Linux `bpf.h` numbering).
@@ -241,16 +226,13 @@ impl From<MapError> for VmError {
 pub struct ExecOutcome {
     /// The program's return value (`r0` at exit).
     pub ret: u64,
-    /// Instructions executed (drives [`execution_cost_ns`]).
+    /// Instructions executed (`lddw` counts once).
     pub insns_executed: u64,
     /// The path's dynamic cost under the shared static cost table
     /// ([`crate::cost`]): per-op charges plus per-helper charges.
     /// Always bounded by the loaded program's
     /// [`certificate`](crate::program::LoadedProgram::certificate).
     pub cost_ns: u64,
-    /// Runtime checks skipped because the verifier's analysis proved
-    /// them redundant (in the interpreter tier: divisor zero-tests).
-    pub checks_elided: u64,
 }
 
 /// A map key captured when a lookup allocates a value slot. Keys of up
@@ -594,7 +576,8 @@ impl<'a> Memory<'a> {
     }
 }
 
-/// The interpreter.
+/// The interpreter: every runtime check on, the reference the
+/// threaded-code tier must match.
 #[derive(Debug, Clone)]
 pub struct Vm {
     budget: u64,
@@ -634,7 +617,6 @@ impl Vm {
         env: &mut dyn VmEnv,
     ) -> Result<ExecOutcome, VmError> {
         let insns = prog.insns();
-        let facts = prog.analysis().facts();
         let mut reg = [0u64; NUM_REGS];
         let mut mem = Memory::new(ctx, packet, env.smp_processor_id() as usize);
         reg[1] = CTX_BASE;
@@ -643,7 +625,6 @@ impl Vm {
         let mut pc = 0usize;
         let mut executed: u64 = 0;
         let mut cost_ns: u64 = 0;
-        let mut checks_elided: u64 = 0;
         let mut scratch = Vec::with_capacity(64);
 
         loop {
@@ -674,25 +655,7 @@ impl Vm {
                         insn.imm as i64 as u64
                     };
                     let lhs = reg[dst];
-                    // Register divisors the analysis proved nonzero skip
-                    // the zero test entirely — the one elision the
-                    // interpreter tier performs.
-                    let val = if (op == BPF_DIV || op == BPF_MOD)
-                        && insn.opcode & 0x08 == BPF_X
-                        && facts.get(pc).is_some_and(|f| f.div_nonzero)
-                    {
-                        checks_elided += 1;
-                        if is64 {
-                            if op == BPF_DIV {
-                                lhs / rhs
-                            } else {
-                                lhs % rhs
-                            }
-                        } else {
-                            let (l, r) = (lhs as u32, rhs as u32);
-                            u64::from(if op == BPF_DIV { l / r } else { l % r })
-                        }
-                    } else if is64 {
+                    let val = if is64 {
                         alu64(op, lhs, rhs)
                     } else {
                         u64::from(alu32(op, lhs as u32, rhs as u32))
@@ -745,7 +708,6 @@ impl Vm {
                                 ret: reg[0],
                                 insns_executed: executed,
                                 cost_ns,
-                                checks_elided,
                             })
                         }
                         BPF_CALL => {
@@ -1133,27 +1095,19 @@ mod tests {
     use crate::asm::{reg::*, AluOp, Asm, Cond, Size};
     use crate::context::*;
     use crate::map::MapDef;
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
 
     fn run(asm: Asm) -> u64 {
         run_with(asm, &TraceContext::default(), &[], &mut MapRegistry::new()).ret
     }
 
-    // The interpreter tests pin tier behavior on exact instruction
-    // shapes, so they load raw; the optimizer has its own suite.
     fn run_with(asm: Asm, ctx: &TraceContext, pkt: &[u8], maps: &mut MapRegistry) -> ExecOutcome {
         let prog = Program::new(
             "t",
             AttachType::Kprobe("f".into()),
             asm.build().expect("assembles"),
         );
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("loads");
+        let loaded = load(prog, maps, &standard_helpers()).expect("loads");
         let mut env = FixedEnv {
             time_ns: 123_456,
             cpu: 2,
@@ -1334,13 +1288,7 @@ mod tests {
                 .unwrap(),
         );
         let mut maps = MapRegistry::new();
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         let err = Vm::new()
             .execute(
@@ -1371,13 +1319,7 @@ mod tests {
                 .exit(),
         ] {
             let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-            let loaded = load_with_opts(
-                prog,
-                &maps,
-                &standard_helpers(),
-                &LoadOpts { optimize: false },
-            )
-            .unwrap();
+            let loaded = load(prog, &maps, &standard_helpers()).unwrap();
             let mut env = FixedEnv::default();
             let err = Vm::new()
                 .execute(
@@ -1568,13 +1510,7 @@ mod tests {
             .call(TRACE_PRINTK)
             .exit();
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            &maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, &maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
             .execute(&loaded, &TraceContext::default(), &[], &mut maps, &mut env)
@@ -1628,10 +1564,7 @@ mod tests {
             &mut MapRegistry::new(),
         );
         assert_eq!(out.insns_executed, 3);
-        assert_eq!(
-            execution_cost_ns(out.insns_executed),
-            PROBE_BASE_COST_NS + 3
-        );
+        assert_eq!(out.cost_ns, 3, "three single-dispatch ALU/exit ops");
     }
 
     #[test]
@@ -1652,17 +1585,11 @@ mod atomic_tests {
     use crate::asm::{reg::*, Asm, Size};
     use crate::context::TraceContext;
     use crate::map::{MapDef, MapRegistry};
-    use crate::program::{load_with_opts, AttachType, LoadOpts, Program};
+    use crate::program::{load, AttachType, Program};
 
     fn run(asm: Asm, maps: &mut MapRegistry) -> u64 {
         let prog = Program::new("t", AttachType::Kprobe("f".into()), asm.build().unwrap());
-        let loaded = load_with_opts(
-            prog,
-            maps,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .unwrap();
+        let loaded = load(prog, maps, &standard_helpers()).unwrap();
         let mut env = FixedEnv::default();
         Vm::new()
             .execute(&loaded, &TraceContext::default(), &[], maps, &mut env)

@@ -1,5 +1,7 @@
 //! Property-based tests for the eBPF toolchain: the verifier is total,
-//! verified programs terminate, and the interpreter respects its sandbox.
+//! verified programs terminate, the interpreter respects its sandbox, and
+//! the threaded-code tier is observationally identical to the
+//! all-checks interpreter.
 
 use proptest::prelude::*;
 use vnet_ebpf::asm::{reg::*, AluOp, Asm, Cond, Size};
@@ -8,75 +10,24 @@ use vnet_ebpf::disasm::disassemble;
 use vnet_ebpf::insn::*;
 use vnet_ebpf::map::{MapDef, MapRegistry};
 use vnet_ebpf::parse::parse_program;
-use vnet_ebpf::program::{load, load_with_opts, AttachType, LoadOpts, Program};
+use vnet_ebpf::program::{load, AttachType, LoadError, LoadedProgram, Program};
 use vnet_ebpf::verifier::verify;
 use vnet_ebpf::vm::{standard_helpers, FixedEnv, Vm};
 
-/// Runs one loaded program on the interpreter and on the threaded-code
-/// tier both with and without verifier-proved check elision, each against
-/// independent but identically-constructed map registries, then checks
-/// the tier contract: same result or same error, and every compiled
-/// variant retires exactly the instruction count the interpreter
-/// executed (elision must be observationally invisible). Returns the
-/// registries (interp, jit-elide, jit-no-elide) so callers can compare
-/// map side effects.
+/// Runs one loaded program on the reference interpreter (every runtime
+/// check on) and on the threaded-code tier (verifier-proved checks
+/// elided, sequences fused), each against independent but
+/// identically-constructed map registries, and checks the tier contract:
+/// the same return value or the same abort, the same retired
+/// instruction count, the same per-path cost, and a dynamic cost and
+/// instruction count within the program's static certificate. Returns
+/// the registries (interpreter, threaded) so callers can compare map
+/// side effects.
 fn run_both_tiers(
-    loaded: &vnet_ebpf::program::LoadedProgram,
+    loaded: &LoadedProgram,
     pkt: &[u8],
     mut mk_maps: impl FnMut() -> MapRegistry,
-) -> (MapRegistry, MapRegistry, MapRegistry) {
-    let ctx = TraceContext::default();
-    let mut maps_i = mk_maps();
-    let mut env_i = FixedEnv::default();
-    let interp = Vm::new().execute(loaded, &ctx, pkt, &mut maps_i, &mut env_i);
-    let compiled = vnet_ebpf::jit::compile(loaded);
-    let mut maps_j = mk_maps();
-    let mut env_j = FixedEnv::default();
-    let jit = compiled.execute(&ctx, pkt, &mut maps_j, &mut env_j);
-    let baseline =
-        vnet_ebpf::jit::compile_with(loaded, vnet_ebpf::jit::CompileOpts { elide: false });
-    assert_eq!(
-        baseline.elided_site_count(),
-        0,
-        "elide:false must elide nothing"
-    );
-    let mut maps_b = mk_maps();
-    let mut env_b = FixedEnv::default();
-    let base = baseline.execute(&ctx, pkt, &mut maps_b, &mut env_b);
-    match (interp, jit, base) {
-        (Ok(i), Ok(j), Ok(b)) => {
-            assert_eq!(i.ret, j.ret, "tiers must return the same value");
-            assert_eq!(j.ret, b.ret, "elision must not change the result");
-            assert_eq!(
-                i.insns_executed, j.insns_retired,
-                "fused ops must retire the same instruction count"
-            );
-            assert_eq!(
-                j.insns_retired, b.insns_retired,
-                "elided branches must keep retired-instruction parity"
-            );
-            assert_eq!(b.checks_elided, 0, "elide:false must skip no checks");
-        }
-        (Err(i), Err(j), Err(b)) => {
-            assert_eq!(i, j, "tiers must abort identically");
-            assert_eq!(j, b, "elision must not change the abort");
-        }
-        (i, j, b) => panic!("tiers diverge: interp {i:?} vs jit {j:?} vs no-elide {b:?}"),
-    }
-    (maps_i, maps_j, maps_b)
-}
-
-/// Executes `loaded` on both tiers with identical fresh registries and
-/// checks the cost contract on top of the tier contract: the two tiers
-/// charge the same per-path cost (fused ops charge the sum of their
-/// components), and both the dynamic cost and the retired instruction
-/// count are bounded by the program's static certificate. Returns the
-/// interpreter's outcome (return value or abort) and its registry.
-fn run_certified(
-    loaded: &vnet_ebpf::program::LoadedProgram,
-    pkt: &[u8],
-    mut mk_maps: impl FnMut() -> MapRegistry,
-) -> (Result<u64, vnet_ebpf::vm::VmError>, MapRegistry) {
+) -> (MapRegistry, MapRegistry) {
     let ctx = TraceContext::default();
     let cert = loaded.certificate();
     let mut maps_i = mk_maps();
@@ -86,9 +37,13 @@ fn run_certified(
     let mut maps_j = mk_maps();
     let mut env_j = FixedEnv::default();
     let jit = compiled.execute(&ctx, pkt, &mut maps_j, &mut env_j);
-    let outcome = match (interp, jit) {
+    match (interp, jit) {
         (Ok(i), Ok(j)) => {
             assert_eq!(i.ret, j.ret, "tiers must return the same value");
+            assert_eq!(
+                i.insns_executed, j.insns_retired,
+                "fused and elided ops must retire the same instruction count"
+            );
             assert_eq!(
                 i.cost_ns, j.cost_ns,
                 "tiers must charge the same per-path cost"
@@ -105,15 +60,24 @@ fn run_certified(
                 i.insns_executed,
                 cert.worst_case_insns
             );
-            Ok(i.ret)
         }
-        (Err(i), Err(j)) => {
-            assert_eq!(i, j, "tiers must abort identically");
-            Err(i)
-        }
+        (Err(i), Err(j)) => assert_eq!(i, j, "tiers must abort identically"),
         (i, j) => panic!("tiers diverge: interp {i:?} vs jit {j:?}"),
-    };
-    (outcome, maps_i)
+    }
+    (maps_i, maps_j)
+}
+
+/// Loads a verifier-accepted stream against an empty registry. Loading
+/// relocates every map reference, reachable or not, so a stream naming a
+/// map fd is rejected with [`LoadError::UnknownMapFd`] (`None`); any
+/// other load failure of a verified stream is a bug.
+fn load_verified(insns: Vec<Insn>) -> Option<LoadedProgram> {
+    let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
+    match load(prog, &MapRegistry::new(), &standard_helpers()) {
+        Ok(loaded) => Some(loaded),
+        Err(LoadError::UnknownMapFd { .. }) => None,
+        Err(e) => panic!("verified stream failed to load: {e}"),
+    }
 }
 
 /// One map's interpreter-visible contents, sorted for comparison.
@@ -350,14 +314,13 @@ proptest! {
     #[test]
     fn garbage_streams_verify_or_terminate(insns in proptest::collection::vec(arb_insn(), 0..256)) {
         if verify(&insns, &standard_helpers()).is_ok() {
-            let maps = MapRegistry::new();
-            let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-            let loaded = load(prog, &maps, &standard_helpers()).expect("verified streams load");
-            let mut maps = MapRegistry::new();
-            let mut env = FixedEnv::default();
-            let pkt = [0u8; 64];
-            if let Ok(out) = Vm::new().execute(&loaded, &TraceContext::default(), &pkt, &mut maps, &mut env) {
-                prop_assert!(out.insns_executed <= MAX_INSNS as u64 + 6);
+            if let Some(loaded) = load_verified(insns) {
+                let mut maps = MapRegistry::new();
+                let mut env = FixedEnv::default();
+                let pkt = [0u8; 64];
+                if let Ok(out) = Vm::new().execute(&loaded, &TraceContext::default(), &pkt, &mut maps, &mut env) {
+                    prop_assert!(out.insns_executed <= MAX_INSNS as u64 + 6);
+                }
             }
         }
     }
@@ -376,18 +339,18 @@ proptest! {
     /// Differential: on every verifier-accepted instruction stream — not
     /// just well-formed programs — the threaded-code tier returns the
     /// interpreter's value, retires the interpreter's instruction count,
-    /// and aborts with the interpreter's exact error.
+    /// charges the interpreter's cost within the certificate, and aborts
+    /// with the interpreter's exact error.
     #[test]
     fn tiers_agree_on_verified_garbage(
         insns in proptest::collection::vec(arb_insn(), 0..256),
         pkt_len in 0usize..64,
     ) {
         if verify(&insns, &standard_helpers()).is_ok() {
-            let maps = MapRegistry::new();
-            let prog = Program::new("p", AttachType::Kprobe("f".into()), insns);
-            let loaded = load(prog, &maps, &standard_helpers()).expect("verified streams load");
-            let pkt = vec![0u8; pkt_len];
-            run_both_tiers(&loaded, &pkt, MapRegistry::new);
+            if let Some(loaded) = load_verified(insns) {
+                let pkt = vec![0u8; pkt_len];
+                run_both_tiers(&loaded, &pkt, MapRegistry::new);
+            }
         }
     }
 
@@ -419,14 +382,13 @@ proptest! {
             assemble_map_workload(&ops, 0, 1),
         );
         let loaded = load(prog, &maps, &standard_helpers()).expect("workload verifies");
-        let (mut maps_i, mut maps_j, mut maps_b) = run_both_tiers(&loaded, &[], mk_maps);
+        let (mut maps_i, mut maps_j) = run_both_tiers(&loaded, &[], mk_maps);
         prop_assert_eq!(hash_contents(&maps_i, 0), hash_contents(&maps_j, 0));
-        prop_assert_eq!(hash_contents(&maps_j, 0), hash_contents(&maps_b, 0));
-        let recs_i = maps_i.get_mut(1).unwrap().perf_drain_all();
-        let recs_j = maps_j.get_mut(1).unwrap().perf_drain_all();
-        let recs_b = maps_b.get_mut(1).unwrap().perf_drain_all();
-        prop_assert_eq!(&recs_i, &recs_j);
-        prop_assert_eq!(&recs_j, &recs_b, "elision must not change emitted records");
+        prop_assert_eq!(
+            maps_i.get_mut(1).unwrap().perf_drain_all(),
+            maps_j.get_mut(1).unwrap().perf_drain_all(),
+            "tiers must emit identical records"
+        );
     }
 
     /// Every rejection names an in-bounds instruction: whatever bytes the
@@ -449,86 +411,6 @@ proptest! {
                 prop_assert!(i < insns.len());
             }
         }
-    }
-
-    /// Differential: on every verifier-accepted instruction stream, the
-    /// optimized program (the default load) produces the raw program's
-    /// exact outcome — same return value or same abort — on both tiers,
-    /// never grows, always re-verifies, and never certifies a worse
-    /// worst-case cost; on every arm the dynamic cost and retired count
-    /// stay within the static certificate.
-    #[test]
-    fn optimizer_preserves_verified_garbage(
-        insns in proptest::collection::vec(arb_insn(), 0..256),
-        pkt_len in 0usize..64,
-    ) {
-        if verify(&insns, &standard_helpers()).is_ok() {
-            let registry = MapRegistry::new();
-            // A raw load can fail on live references to maps the empty
-            // registry lacks; skip those streams.
-            if let Ok(raw) = load_with_opts(
-                Program::new("p", AttachType::Kprobe("f".into()), insns.clone()),
-                &registry,
-                &standard_helpers(),
-                &LoadOpts { optimize: false },
-            ) {
-            let opt = load_with_opts(
-                Program::new("p", AttachType::Kprobe("f".into()), insns),
-                &registry,
-                &standard_helpers(),
-                &LoadOpts { optimize: true },
-            )
-            .expect("raw-loadable programs load optimized");
-            prop_assert!(opt.opt_stats().reverified, "optimized program must re-verify");
-            prop_assert!(opt.insns().len() <= raw.insns().len());
-            prop_assert!(
-                opt.certificate().worst_case_ns <= raw.certificate().worst_case_ns,
-                "optimization must never certify a worse worst case"
-            );
-            let pkt = vec![0u8; pkt_len];
-            let (out_raw, _) = run_certified(&raw, &pkt, MapRegistry::new);
-            let (out_opt, _) = run_certified(&opt, &pkt, MapRegistry::new);
-            prop_assert_eq!(out_raw, out_opt, "optimization must preserve the outcome");
-            }
-        }
-    }
-
-    /// Differential: raw and optimized forms of random map workloads
-    /// leave byte-identical hash-map contents and emit byte-identical
-    /// perf records — optimization must not change what the collector
-    /// sees.
-    #[test]
-    fn optimizer_preserves_map_side_effects(ops in arb_map_ops()) {
-        let mk_maps = || {
-            let mut m = MapRegistry::new();
-            m.create(MapDef::hash(4, 8, 16), 1).unwrap();
-            m.create(MapDef::perf(4096), 4).unwrap();
-            m
-        };
-        let registry = mk_maps();
-        let insns = assemble_map_workload(&ops, 0, 1);
-        let raw = load_with_opts(
-            Program::new("p", AttachType::Kprobe("f".into()), insns.clone()),
-            &registry,
-            &standard_helpers(),
-            &LoadOpts { optimize: false },
-        )
-        .expect("workload verifies");
-        let opt = load(
-            Program::new("p", AttachType::Kprobe("f".into()), insns),
-            &registry,
-            &standard_helpers(),
-        )
-        .expect("workload optimizes");
-        let (out_raw, mut maps_raw) = run_certified(&raw, &[], mk_maps);
-        let (out_opt, mut maps_opt) = run_certified(&opt, &[], mk_maps);
-        prop_assert_eq!(out_raw, out_opt);
-        prop_assert_eq!(hash_contents(&maps_raw, 0), hash_contents(&maps_opt, 0));
-        prop_assert_eq!(
-            maps_raw.get_mut(1).unwrap().perf_drain_all(),
-            maps_opt.get_mut(1).unwrap().perf_drain_all(),
-            "optimization must not change emitted records"
-        );
     }
 
     /// Perf buffers never deliver more bytes than their capacity between

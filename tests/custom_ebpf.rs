@@ -126,9 +126,8 @@ fn broken_custom_program_rejected_at_install() {
         matches!(err, vnettracer::TracerError::Load(_)),
         "got {err:?}"
     );
-    // A program using a non-existent map fd is rejected too. The map
-    // handle must actually feed a helper call: the load-time optimizer
-    // removes dead `lddw`s, so an unused bogus fd would simply vanish.
+    // A program passing a non-existent map fd to a helper is rejected
+    // too.
     let bad_map = Asm::new()
         .mov64_imm(R2, 0)
         .stx(Size::W, R10, R2, -4)
@@ -144,4 +143,33 @@ fn broken_custom_program_rejected_at_install() {
         .install_raw(&mut w, "bad2", &HookSpec::DeviceRx("eth0".into()), bad_map)
         .unwrap_err();
     assert!(matches!(err, vnettracer::TracerError::Load(_)));
+}
+
+#[test]
+fn unused_unknown_map_fd_rejected_at_install() {
+    // Loading relocates every map reference, as the kernel does: a
+    // bogus fd is rejected even when nothing ever reads the handle.
+    let mut w = World::new(79);
+    let n = w.add_node("host", 1, NodeClock::perfect());
+    w.add_device(DeviceConfig::new("eth0", n));
+    let mut agent = Agent::new(n, "host", 1);
+    let dead_map = Asm::new()
+        .ld_map_fd(R1, 42)
+        .mov64_imm(R0, 0)
+        .exit()
+        .build()
+        .unwrap();
+    let err = agent
+        .install_raw(&mut w, "dead", &HookSpec::DeviceRx("eth0".into()), dead_map)
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            vnettracer::TracerError::Load(vnet_ebpf::program::LoadError::UnknownMapFd {
+                fd: 42,
+                ..
+            })
+        ),
+        "got {err:?}"
+    );
 }

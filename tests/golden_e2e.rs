@@ -59,11 +59,7 @@ fn golden_ovs_case_iii() {
         ..Default::default()
     };
     let mut s = OvsScenario::build(&cfg);
-    // Pin the interpreter tier: both tiers charge the same per-path
-    // execution cost, but the jit tier adds a one-time compile charge
-    // on each program's first firing that would shift early timestamps.
-    let mut pkg = s.control_package();
-    pkg.global.exec_tier = vnettracer::config::ExecTier::Interp;
+    let pkg = s.control_package();
     let mut tracer = s.make_tracer();
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
@@ -71,14 +67,14 @@ fn golden_ovs_case_iii() {
     let got = snapshot(&tracer, &s.world, &OvsScenario::decomposition_chain());
     let want = "\
 table sock_em0: 200 records, 1575879 bps
-table sock_em2_in: 94 records, 736689 bps
-table sock_em2_out: 94 records, 736689 bps
-table sock_vnet0: 200 records, 1575879 bps
-segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 445 mean 445.0
-segment sock_vnet0 -> sock_em2_in: count 94 min 5655 p50 1101655 max 1248755 mean 1091240.6
-segment sock_em2_in -> sock_em2_out: count 94 min 1145 p50 1145 max 1145 mean 1145.0
-collector: 588 records in 1 batches, 18816 bytes, 0 lost
-agent server1: seq 1 records 588 lost 0
+table sock_em2_in: 95 records, 739597 bps
+table sock_em2_out: 95 records, 739597 bps
+table sock_vnet0: 200 records, 1575929 bps
+segment sock_em0 -> sock_vnet0: count 200 min 445 p50 445 max 3577 mean 460.7
+segment sock_vnet0 -> sock_em2_in: count 95 min 8577 p50 1101655 max 1248755 mean 1088073.7
+segment sock_em2_in -> sock_em2_out: count 95 min 1145 p50 1145 max 1145 mean 1145.0
+collector: 590 records in 1 batches, 18880 bytes, 0 lost
+agent server1: seq 1 records 590 lost 0
 ";
     assert_eq!(got, want, "golden OVS snapshot drifted:\n{got}");
 }
@@ -91,21 +87,19 @@ fn golden_two_host() {
         ..Default::default()
     };
     let mut s = TwoHostScenario::build(&cfg);
-    // Pin the interpreter tier; see golden_ovs_case_iii.
-    let mut pkg = s.control_package();
-    pkg.global.exec_tier = vnettracer::config::ExecTier::Interp;
+    let pkg = s.control_package();
     let mut tracer = s.make_tracer();
     tracer.deploy(&mut s.world, &pkg).unwrap();
     s.run(&cfg);
     tracer.collect(&s.world);
     let got = snapshot(&tracer, &s.world, &["s1_ovs_br1", "s2_ovs_br1", "s2_ens3"]);
     let want = "\
-table s1_ens3: 250 records, 7869977 bps
+table s1_ens3: 250 records, 7873341 bps
 table s1_ovs_br1: 250 records, 7871486 bps
-table s2_ens3: 250 records, 7869977 bps
-table s2_ovs_br1: 250 records, 7870115 bps
-segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34892.8
-segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 2083 mean 1779.9
+table s2_ens3: 250 records, 7871957 bps
+table s2_ovs_br1: 250 records, 7871105 bps
+segment s1_ovs_br1 -> s2_ovs_br1: count 250 min 33061 p50 33061 max 44598 mean 34905.3
+segment s2_ovs_br1 -> s2_ens3: count 250 min 1645 p50 1645 max 4777 mean 1792.4
 collector: 1000 records in 2 batches, 32000 bytes, 0 lost
 agent server1: seq 1 records 500 lost 0
 agent server2: seq 1 records 500 lost 0
